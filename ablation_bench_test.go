@@ -29,6 +29,7 @@ func ablationWorkload() *Workload {
 func BenchmarkAblationEstimatesUser(b *testing.B) {
 	w := ablationWorkload()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(w, sched.NewEASY(), sim.Options{}); err != nil {
 			b.Fatal(err)
@@ -41,6 +42,7 @@ func BenchmarkAblationEstimatesUser(b *testing.B) {
 func BenchmarkAblationEstimatesPerfect(b *testing.B) {
 	w := ablationWorkload()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(w, sched.NewEASY(), sim.Options{PerfectEstimates: true}); err != nil {
 			b.Fatal(err)
@@ -152,6 +154,7 @@ func BenchmarkAblationGang5(b *testing.B) { benchGang(b, 5) }
 func benchGang(b *testing.B, slots int) {
 	w := ablationWorkload()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(w, sched.NewGang(slots), sim.Options{}); err != nil {
 			b.Fatal(err)

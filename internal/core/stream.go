@@ -38,11 +38,20 @@ func (s *SliceStream) Next() (*Job, error) {
 // known runtime, and a usable processor count (swf.Clean guarantees
 // all three).
 func JobFromRecord(r swf.Record) *Job {
+	j := new(Job)
+	JobFromRecordInto(j, r)
+	return j
+}
+
+// JobFromRecordInto is JobFromRecord writing into caller-owned storage:
+// every field of *j is overwritten, so slab allocators can hand out
+// jobs without a heap allocation each.
+func JobFromRecordInto(j *Job, r swf.Record) {
 	size := r.Procs
 	if size <= 0 {
 		size = r.ReqProcs
 	}
-	j := &Job{
+	*j = Job{
 		ID:            r.JobID,
 		Submit:        r.Submit,
 		Size:          int(size),
@@ -66,5 +75,4 @@ func JobFromRecord(r swf.Record) *Job {
 			j.ThinkTime = r.ThinkTime
 		}
 	}
-	return j
 }

@@ -80,6 +80,10 @@ type EASY struct {
 	// back through OnSubmit), and the sweep reads one per candidate per
 	// pass — an interface call worth paying once per arrival instead.
 	estq []int64
+	// queueBuf and estqBuf span the whole backing arrays of queue and
+	// estq, whose fronts phase 1 pops; pushBack reuses that space.
+	queueBuf []*core.Job
+	estqBuf  []int64
 	// ledger records the deep-reserve walk for resumption; queueGen
 	// counts queue removals (starts), the ledger's proof that the queue
 	// it walked is still a prefix of the one it sees.
@@ -165,9 +169,27 @@ func (e *EASY) Queued() []*core.Job { return append([]*core.Job(nil), e.queue...
 
 // OnSubmit implements Scheduler.
 func (e *EASY) OnSubmit(ctx Context, j *core.Job) {
-	e.queue = append(e.queue, j)
-	e.estq = append(e.estq, ctx.Estimate(j))
+	e.queue, e.queueBuf = pushBack(e.queue, e.queueBuf, j)
+	e.estq, e.estqBuf = pushBack(e.estq, e.estqBuf, ctx.Estimate(j))
 	e.schedule(ctx)
+}
+
+// pushBack appends v to q, where buf spans q's whole backing array and
+// q is a window ending at its capacity (front pops and in-place
+// removals both keep that shape). When q is full but at least half of
+// buf lies free in front of it, q slides down to the start of buf
+// instead of growing, so a queue that drains as fast as it fills reuses
+// one array for the whole run; otherwise append grows it as usual.
+// Both cases are amortized O(1) per push.
+func pushBack[T any](q, buf []T, v T) ([]T, []T) {
+	if len(q) == cap(q) && cap(q) < cap(buf) && 2*len(q) <= cap(buf) {
+		q = buf[:copy(buf[:cap(buf)], q)]
+	}
+	q = append(q, v)
+	if cap(q) > cap(buf) {
+		buf = q
+	}
+	return q, buf
 }
 
 // OnFinish implements Scheduler.

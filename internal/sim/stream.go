@@ -10,7 +10,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"parsched/internal/core"
 	"parsched/internal/des"
@@ -41,70 +41,14 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	}
 	sm.pruneFinal = opts.DiscardOutcomes
 
-	// The arrival pump: each arrival event submits its job, then keeps
-	// pulling and submitting while the next job is due at the same
-	// instant (file order preserved), and re-arms for the next distinct
-	// submit time — so the engine never holds more than one pending
-	// arrival, and the event count per arrival instant matches Run's
-	// replay cursor exactly (the streaming≡batch tests compare counts).
-	var (
-		pump       func(j *core.Job)
-		pumpErr    error
-		pulled     int
-		prevSubmit int64
-		pending    *core.Job // scheduled but not yet submitted
-	)
-	pull := func() (*core.Job, error) {
-		j, err := js.Next()
-		if err != nil || j == nil {
-			return nil, err
-		}
-		pulled++
-		if j.ID != int64(pulled) {
-			return nil, fmt.Errorf("sim: stream job %d arrived in position %d; IDs must be sequential from 1", j.ID, pulled) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Submit < prevSubmit {
-			return nil, fmt.Errorf("sim: stream job %d submitted at %d, before predecessor's %d", j.ID, j.Submit, prevSubmit) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Size < 1 || j.Size > maxNodes {
-			return nil, fmt.Errorf("sim: stream job %d: size %d outside machine of %d nodes", j.ID, j.Size, maxNodes) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Runtime < 0 {
-			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		prevSubmit = j.Submit
-		return j, nil
-	}
-	pump = func(j *core.Job) {
-		pending = j
-		engine.At(j.Submit, des.PriorityTraceArrival, func() {
-			now := engine.Now()
-			for {
-				pending = nil
-				sm.submit(j, now)
-				next, err := pull()
-				if err != nil {
-					pumpErr = err
-					return
-				}
-				if next == nil {
-					return
-				}
-				if next.Submit != now {
-					pump(next)
-					return
-				}
-				j = next
-				pending = j
-			}
-		})
-	}
-	first, err := pull()
+	pump := &arrivalPump{sm: sm, js: js, maxNodes: maxNodes}
+	pump.fire = func() { pump.arrive() } //schedlint:allow escape once per run: the arrival callback every arrival instant re-arms
+	first, err := pump.pull()
 	if err != nil {
 		return nil, err
 	}
 	if first != nil {
-		pump(first)
+		pump.arm(first)
 	}
 
 	if opts.Outages != nil {
@@ -128,11 +72,84 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	} else {
 		engine.Run()
 	}
-	if pumpErr != nil {
-		return nil, pumpErr
+	if pump.err != nil {
+		return nil, pump.err
 	}
 
-	return collectStream(sm, name, engine, js, pending)
+	return collectStream(sm, name, engine, js, pump.pending)
+}
+
+// arrivalPump is RunStream's arrival cursor: each arrival event submits
+// its job, then keeps pulling and submitting while the next job is due
+// at the same instant (file order preserved), and re-arms for the next
+// distinct submit time — so the engine never holds more than one
+// pending arrival, and the event count per arrival instant matches
+// Run's replay cursor exactly (the streaming≡batch tests compare
+// counts). The callback is bound once per run, so an arrival costs no
+// allocation.
+type arrivalPump struct {
+	sm         *Instance
+	js         core.JobStream
+	maxNodes   int
+	pulled     int
+	prevSubmit int64
+	pending    *core.Job // scheduled but not yet submitted
+	err        error
+	fire       func() // arrive, bound once per run
+}
+
+// pull takes the next job off the stream, enforcing the JobStream
+// contract; (nil, nil) at end of stream.
+func (p *arrivalPump) pull() (*core.Job, error) {
+	j, err := p.js.Next()
+	if err != nil || j == nil {
+		return nil, err
+	}
+	p.pulled++
+	if j.ID != int64(p.pulled) {
+		return nil, fmt.Errorf("sim: stream job %d arrived in position %d; IDs must be sequential from 1", j.ID, p.pulled) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+	}
+	if j.Submit < p.prevSubmit {
+		return nil, fmt.Errorf("sim: stream job %d submitted at %d, before predecessor's %d", j.ID, j.Submit, p.prevSubmit) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+	}
+	if j.Size < 1 || j.Size > p.maxNodes {
+		return nil, fmt.Errorf("sim: stream job %d: size %d outside machine of %d nodes", j.ID, j.Size, p.maxNodes) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+	}
+	if j.Runtime < 0 {
+		return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+	}
+	p.prevSubmit = j.Submit
+	return j, nil
+}
+
+// arm schedules j's arrival event.
+func (p *arrivalPump) arm(j *core.Job) {
+	p.pending = j
+	p.sm.engine.At(j.Submit, des.PriorityTraceArrival, p.fire)
+}
+
+// arrive is the arrival event: it submits the pending job and every
+// later one due at the same instant, then arms the next instant.
+func (p *arrivalPump) arrive() {
+	now := p.sm.engine.Now()
+	j := p.pending
+	p.pending = nil
+	for {
+		p.sm.submit(j, now)
+		next, err := p.pull()
+		if err != nil {
+			p.err = err
+			return
+		}
+		if next == nil {
+			return
+		}
+		if next.Submit != now {
+			p.arm(next)
+			return
+		}
+		j = next
+	}
 }
 
 // collectStream assembles the streaming result. Residual outcomes (jobs
@@ -147,7 +164,7 @@ func collectStream(sm *Instance, name string, engine *des.Engine, js core.JobStr
 	for id := range sm.outcomes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		oo := *sm.outcomes[id]
 		if oo.End < 0 {

@@ -187,7 +187,95 @@ func (r *Record) setField(i int, v int64) {
 
 // ParseRecord parses a single data line. It requires exactly 18 integer
 // fields separated by whitespace.
-func ParseRecord(line string) (Record, error) {
+func ParseRecord(line string) (Record, error) { return parseRecord(line) }
+
+// parseRecord is the field kernel behind ParseRecord and Scanner: one
+// pass over the line that splits on ASCII whitespace and parses each
+// field as a base-10 int64 in place, allocating nothing on success. It
+// accepts and rejects exactly what strings.Fields + strconv.ParseInt
+// do — an optional sign, overflow past the int64 limits rejected — and
+// reports the same errors, the field-count check first. A line holding
+// any byte >= 0x80 is handed to parseRecordUnicode, since Unicode
+// whitespace such as U+00A0 also separates fields there.
+func parseRecord[T string | []byte](line T) (Record, error) {
+	var v [NumFields]int64
+	n := 0    // fields seen
+	bad := -1 // first unparsable field among the first NumFields
+	var badFrom, badTo int
+	for i := 0; ; {
+		for i < len(line) && isASCIISpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		from := i
+		neg := false
+		if c := line[i]; c == '+' || c == '-' {
+			neg = c == '-'
+			i++
+		}
+		digits := i
+		var u uint64 // magnitude; exact up to 19 significant digits
+		ok := true
+		for ; i < len(line); i++ {
+			c := line[i]
+			if d := c - '0'; d <= 9 {
+				u = u*10 + uint64(d)
+				continue
+			}
+			if isASCIISpace(c) {
+				break
+			}
+			if c >= 0x80 {
+				return parseRecordUnicode(string(line))
+			}
+			ok = false
+		}
+		if n < NumFields && bad < 0 {
+			if i-digits > 18 {
+				// Only a long token can overflow. Past 19 significant digits
+				// it must; up to 19, u is exact and the range check decides.
+				z := digits
+				for z < i && line[z] == '0' {
+					z++
+				}
+				ok = ok && i-z <= 19
+			}
+			if ok && i > digits && (u < 1<<63 || neg && u == 1<<63) {
+				v[n] = int64(u)
+				if neg {
+					v[n] = -v[n]
+				}
+			} else {
+				bad, badFrom, badTo = n, from, i
+			}
+		}
+		n++
+	}
+	if n != NumFields {
+		return Record{}, fmt.Errorf("swf: record has %d fields, want %d", n, NumFields) //schedlint:allow allocfree error path: a malformed record aborts the scan
+	}
+	if bad >= 0 {
+		return Record{}, fmt.Errorf("swf: field %d %q: not an integer", bad+1, string(line[badFrom:badTo])) //schedlint:allow allocfree error path: a malformed record aborts the scan
+	}
+	// Filling an array and building the record once keeps setField's
+	// switch out of the scan loop, which measurably slows it.
+	return Record{
+		JobID: v[0], Submit: v[1], Wait: v[2], RunTime: v[3], Procs: v[4],
+		AvgCPU: v[5], UsedMem: v[6], ReqProcs: v[7], ReqTime: v[8], ReqMem: v[9],
+		Status: Status(v[10]), User: v[11], Group: v[12], App: v[13],
+		Queue: v[14], Partition: v[15], PrecedingJob: v[16], ThinkTime: v[17],
+	}, nil
+}
+
+// isASCIISpace reports the bytes strings.Fields treats as space below
+// 0x80: '\t', '\n', '\v', '\f', '\r' and ' '.
+func isASCIISpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// parseRecordUnicode is the strings.Fields + strconv.ParseInt parse,
+// kept for lines with non-ASCII bytes, whose whitespace is Unicode's.
+func parseRecordUnicode(line string) (Record, error) {
 	var r Record
 	fields := strings.Fields(line)
 	if len(fields) != NumFields {

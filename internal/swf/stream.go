@@ -52,18 +52,34 @@ func (s *Scanner) Scan() bool {
 	}
 	for s.sc.Scan() {
 		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" {
+		raw := s.sc.Bytes()
+		i := 0
+		for i < len(raw) && isASCIISpace(raw[i]) {
+			i++
+		}
+		if i == len(raw) {
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			body := strings.TrimPrefix(line, ";")
-			if !s.header.parseHeaderLine(body) {
-				s.header.Extra = append(s.header.Extra, strings.TrimSpace(body))
+		var rec Record
+		var err error
+		if c := raw[i]; c == ';' || c >= 0x80 {
+			// Comments (the header block) and lines led by a non-ASCII
+			// byte, which may be Unicode space before a ';', take the
+			// string path; data lines stay on the allocation-free kernel.
+			line := strings.TrimSpace(string(raw)) //schedlint:allow allocfree header comments and non-ASCII lines only; data lines never convert
+			if line == "" {
+				continue
 			}
-			continue
+			if body, ok := strings.CutPrefix(line, ";"); ok {
+				if !s.header.parseHeaderLine(body) {
+					s.header.Extra = append(s.header.Extra, strings.TrimSpace(body))
+				}
+				continue
+			}
+			rec, err = ParseRecord(line)
+		} else {
+			rec, err = parseRecord(raw[i:])
 		}
-		rec, err := ParseRecord(line)
 		if err != nil {
 			s.err = fmt.Errorf("line %d: %w", s.lineNo, err) //schedlint:allow allocfree error path: a malformed header aborts the scan
 			return false

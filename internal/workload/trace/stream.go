@@ -112,7 +112,14 @@ type JobReader struct {
 	limit int
 	n     int
 	prev  int64
+	// slab hands out jobs in blocks of jobSlab, so a million-job replay
+	// performs thousands of job allocations, not millions. A block stays
+	// reachable only while one of its jobs is in flight.
+	slab []core.Job
 }
+
+// jobSlab is the number of jobs JobReader allocates at a time.
+const jobSlab = 256
 
 // Next implements core.JobStream: jobs with IDs 1, 2, ... in
 // non-decreasing submit order, (nil, nil) at end of trace.
@@ -136,7 +143,13 @@ func (r *JobReader) Next() (*core.Job, error) {
 	}
 	r.prev = rec.Submit
 	r.n++
-	return core.JobFromRecord(rec), nil
+	if len(r.slab) == 0 {
+		r.slab = make([]core.Job, jobSlab) //schedlint:allow allocfree slab refill: one allocation per 256 jobs
+	}
+	j := &r.slab[0]
+	r.slab = r.slab[1:]
+	core.JobFromRecordInto(j, rec)
+	return j, nil
 }
 
 // Close releases the underlying file.

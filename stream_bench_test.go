@@ -5,10 +5,11 @@ package parsched
 // sim.RunStream) with sketch-mode metrics. Each op covers the whole
 // pipeline — statistics pass, cleaning scan, simulation — so ns/op is
 // end-to-end trace-to-report latency. B/op and allocs/op are the
-// memory story: the pipeline allocates a small constant per job
-// (job struct, outcome entry, arrival event) and retains none of it,
-// so allocs/op stays a few multiples of the job count however long
-// the trace is, and peak residency is bounded by the jobs in flight.
+// memory story: records are scanned in place, jobs and outcomes come
+// from 256-entry slabs, and arrival events, run states and queue
+// arrays are reused, so allocs/op is a few thousand (about two slab
+// refills per 256 jobs plus fixed set-up) however long the trace is,
+// and peak residency is bounded by the jobs in flight.
 
 import (
 	"bufio"
