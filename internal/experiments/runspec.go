@@ -271,19 +271,22 @@ func (rs RunSpec) Validate() error {
 // Execute resolves and runs the RunSpec: one result per load point
 // (or a single default-load run when Loads is empty).
 //
-// Faithful replays of large trace files (recorded load, variant 0,
-// open loop) run through the streaming pipeline automatically: the log
-// is never materialized, so memory stays bounded by the jobs in flight
-// rather than the trace length. The results are identical either way —
-// the gate is purely a memory/speed decision (see stream.go).
+// Faithful replays (recorded load, variant 0, open loop) of streamable
+// trace files run through the streaming pipeline: the log is never
+// materialized, so memory stays bounded by the jobs in flight rather
+// than the trace length. The results are identical either way (see
+// stream.go).
 func Execute(rs RunSpec) ([]RunResult, error) {
 	if src, ok := rs.streamSource(); ok {
-		return executeStream(rs, src)
+		return ExecuteStream(src, rs)
 	}
 	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
-	return execute(rs, rs.workload)
+	return execute(rs, func(load float64) (replay, error) {
+		w, err := rs.workload(load)
+		return materialized{w}, err
+	})
 }
 
 // ExecuteSource runs the RunSpec against an already-resolved trace
@@ -293,19 +296,44 @@ func Execute(rs RunSpec) ([]RunResult, error) {
 // same workload through either entry point.
 func ExecuteSource(src *trace.Source, rs RunSpec) ([]RunResult, error) {
 	cfg := rs.config()
-	return execute(rs, func(load float64) (*core.Workload, error) {
-		return src.Workload(trace.Options{
+	return execute(rs, func(load float64) (replay, error) {
+		return materialized{src.Workload(trace.Options{
 			Load: load, Jobs: rs.Jobs, Variant: cfg.Rep, Seed: cfg.Seed,
-		}), nil
+		})}, nil
 	})
 }
 
-// execute runs the spec's load points through the streaming pipeline:
-// each run attaches a fresh metrics.Collector as a sim observer, the
+// A replay is one load point's workload, resolved and ready to run.
+type replay interface {
+	// label names the workload and its machine size, which the
+	// collector needs before the run.
+	label() (name string, nodes int)
+	// run simulates the workload and describes what it fed the
+	// simulator.
+	run(s sched.Scheduler, opts sim.Options) (WorkloadInfo, error)
+}
+
+// materialized is a resolved workload, replayed through sim.Run.
+type materialized struct{ w *core.Workload }
+
+func (m materialized) label() (string, int) { return m.w.Name, m.w.MaxNodes }
+
+func (m materialized) run(s sched.Scheduler, opts sim.Options) (WorkloadInfo, error) {
+	if _, err := sim.Run(m.w, s, opts); err != nil {
+		return WorkloadInfo{}, err
+	}
+	return WorkloadInfo{
+		Name: m.w.Name, Jobs: len(m.w.Jobs), Nodes: m.w.MaxNodes,
+		OfferedLoad: m.w.OfferedLoad(),
+	}, nil
+}
+
+// execute runs the spec's load points, each resolved to a replay: each
+// run attaches a fresh metrics.Collector as a sim observer, the
 // simulator feeds it one completion at a time (and time-series samples
 // at the configured cadence), and the RunResult's Report comes from
 // the collector — no post-hoc pass over the outcome slice.
-func execute(rs RunSpec, workload func(load float64) (*core.Workload, error)) ([]RunResult, error) {
+func execute(rs RunSpec, resolve func(load float64) (replay, error)) ([]RunResult, error) {
 	opts, err := rs.Sim.Options()
 	if err != nil {
 		return nil, err
@@ -316,7 +344,7 @@ func execute(rs RunSpec, workload func(load float64) (*core.Workload, error)) ([
 	}
 	out := make([]RunResult, 0, len(loads))
 	for _, load := range loads {
-		w, err := workload(load)
+		r, err := resolve(load)
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +352,8 @@ func execute(rs RunSpec, workload func(load float64) (*core.Workload, error)) ([
 		if err != nil {
 			return nil, err
 		}
-		col := metrics.NewCollector(rs.Metrics.collectorOptions(s.Name(), w.Name, w.MaxNodes))
+		name, nodes := r.label()
+		col := metrics.NewCollector(rs.Metrics.collectorOptions(s.Name(), name, nodes))
 		runOpts := opts
 		runOpts.Observers = []sim.Observer{col}
 		runOpts.SampleEvery = rs.Metrics.SampleEvery
@@ -334,17 +363,15 @@ func execute(rs RunSpec, workload func(load float64) (*core.Workload, error)) ([
 		// spec selects sketch mode — either way far below O(jobs)
 		// Outcome structs.
 		runOpts.DiscardOutcomes = true
-		if _, err := sim.Run(w, s, runOpts); err != nil {
+		info, err := r.run(s, runOpts)
+		if err != nil {
 			return nil, fmt.Errorf("runspec: simulating %s: %w", rs.Scheduler, err)
 		}
 		out = append(out, RunResult{
-			Load: load,
-			Workload: WorkloadInfo{
-				Name: w.Name, Jobs: len(w.Jobs), Nodes: w.MaxNodes,
-				OfferedLoad: w.OfferedLoad(),
-			},
-			Report: col.Report(),
-			Series: col.Series(),
+			Load:     load,
+			Workload: info,
+			Report:   col.Report(),
+			Series:   col.Series(),
 		})
 	}
 	return out, nil

@@ -1,13 +1,13 @@
 package experiments
 
-// Auto-streaming: Execute silently switches a big faithful trace
-// replay from the materialize-everything path to the pull-based
-// pipeline (trace.StreamSource → sim.RunStream). The switch is
-// behavior-preserving — the streamed job sequence is byte-identical to
-// the materialized one (see the property tests in
-// internal/workload/trace) — so it keys purely on profitability:
-// the log is large enough that holding it in memory hurts, and the run
-// asks for the faithful replay streaming can deliver.
+// Streaming: Execute runs every faithful replay of a streamable trace
+// file through the pull-based pipeline (trace.StreamSource →
+// sim.RunStream) rather than materializing the log. Both paths replay
+// through the same sim kernel, and the streamed job sequence is
+// byte-identical to the materialized one (see the property tests in
+// internal/workload/trace), so the choice changes memory, never
+// results: it keys only on whether the run has the shape streaming
+// serves.
 
 import (
 	"fmt"
@@ -16,35 +16,21 @@ import (
 	"sync"
 
 	"parsched/internal/core"
-	"parsched/internal/metrics"
 	"parsched/internal/sched"
 	"parsched/internal/sim"
 	"parsched/internal/workload/trace"
 )
 
-// autoStreamBytes is the trace-file size above which Execute prefers
-// the streaming pipeline. Below it, materializing is cheap and keeps
-// the (better-exercised) default path; above it, the O(jobs) workload
-// clone per run starts to dominate memory. A var, not a const, so
-// tests can lower it to exercise the auto path on small fixtures.
-var autoStreamBytes int64 = 32 << 20
-
-// streamSource decides whether the spec can and should run through the
-// streaming pipeline, and opens the stream source if so. Streaming
-// serves exactly the faithful replay: recorded load (no rescaling),
-// variant 0 (no gap resampling), open loop (no feedback), on a log
-// whose cleaned order is its file order.
+// streamSource opens the spec's stream source when the run can stream:
+// a faithful replay of a streamable log held in a regular file.
+// Streaming reads the file twice (statistics, then replay), so a FIFO
+// or device keeps the materialized path.
 func (rs RunSpec) streamSource() (*trace.StreamSource, bool) {
-	if rs.Source.Kind != sourceTrace || rs.Rep != 0 || rs.Sim.Feedback {
+	if rs.Source.Kind != sourceTrace || rs.faithfulReplay() != nil {
 		return nil, false
 	}
-	for _, l := range rs.Loads {
-		if l != 0 {
-			return nil, false
-		}
-	}
 	fi, err := os.Stat(rs.Source.Arg)
-	if err != nil || fi.Size() < autoStreamBytes {
+	if err != nil || !fi.Mode().IsRegular() {
 		return nil, false
 	}
 	src, err := cachedStreamSource(rs.Source.Arg)
@@ -54,6 +40,25 @@ func (rs RunSpec) streamSource() (*trace.StreamSource, bool) {
 		return nil, false
 	}
 	return src, true
+}
+
+// faithfulReplay returns nil when the spec asks for the faithful replay
+// streaming serves — recorded load (no rescaling), variant 0 (no gap
+// resampling), open loop (no feedback) — and otherwise an error naming
+// the first departure.
+func (rs RunSpec) faithfulReplay() error {
+	if rs.Rep != 0 {
+		return fmt.Errorf("runspec: streaming replay cannot resample variants (rep %d); use the materialized path", rs.Rep)
+	}
+	if rs.Sim.Feedback {
+		return fmt.Errorf("runspec: streaming replay cannot run the closed loop; use the materialized path")
+	}
+	for _, l := range rs.Loads {
+		if l != 0 {
+			return fmt.Errorf("runspec: streaming replay cannot rescale load to %g; use the materialized path", l)
+		}
+	}
+	return nil
 }
 
 // streamCache memoizes the statistics pass per absolute path, the
@@ -80,77 +85,47 @@ func cachedStreamSource(path string) (*trace.StreamSource, error) {
 
 // ExecuteStream runs the RunSpec against an already-opened stream
 // source, the streaming sibling of ExecuteSource. Unlike Execute's
-// automatic gate it is an explicit request, so incompatible specs are
-// errors rather than silent fallbacks: streaming serves only the
-// faithful replay (recorded load, variant 0, open loop) of a
-// streamable log.
+// automatic choice it is an explicit request, so an incompatible spec
+// is an error rather than a silent fallback.
 func ExecuteStream(src *trace.StreamSource, rs RunSpec) ([]RunResult, error) {
 	if !src.Streamable() {
 		return nil, fmt.Errorf("runspec: trace %s is not streamable (records out of order, or feedback references); use the materialized path", src.Path)
 	}
-	if rs.Rep != 0 {
-		return nil, fmt.Errorf("runspec: streaming replay cannot resample variants (rep %d); use the materialized path", rs.Rep)
-	}
-	if rs.Sim.Feedback {
-		return nil, fmt.Errorf("runspec: streaming replay cannot run the closed loop; use the materialized path")
-	}
-	for _, l := range rs.Loads {
-		if l != 0 {
-			return nil, fmt.Errorf("runspec: streaming replay cannot rescale load to %g; use the materialized path", l)
-		}
-	}
-	return executeStream(rs, src)
-}
-
-// executeStream runs the spec's load points (all faithful-replay
-// points, by streamSource's gate) through sim.RunStream.
-func executeStream(rs RunSpec, src *trace.StreamSource) ([]RunResult, error) {
-	opts, err := rs.Sim.Options()
-	if err != nil {
+	if err := rs.faithfulReplay(); err != nil {
 		return nil, err
 	}
-	loads := rs.Loads
-	if len(loads) == 0 {
-		loads = []float64{0}
+	return execute(rs, func(float64) (replay, error) { return streamed{src, rs.Jobs}, nil })
+}
+
+// streamed is a faithful replay pulled from a trace file (its first
+// jobs records, all when 0) through sim.RunStream.
+type streamed struct {
+	src  *trace.StreamSource
+	jobs int
+}
+
+func (r streamed) label() (string, int) { return r.src.Name, r.src.MaxNodes() }
+
+func (r streamed) run(s sched.Scheduler, opts sim.Options) (WorkloadInfo, error) {
+	jr, err := r.src.Stream(r.jobs)
+	if err != nil {
+		return WorkloadInfo{}, err
 	}
-	out := make([]RunResult, 0, len(loads))
-	for _, load := range loads {
-		s, err := sched.Build(rs.Scheduler)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(rs.Metrics.collectorOptions(s.Name(), src.Name, src.MaxNodes()))
-		runOpts := opts
-		runOpts.Observers = []sim.Observer{col}
-		runOpts.SampleEvery = rs.Metrics.SampleEvery
-		runOpts.DiscardOutcomes = true
-		jr, err := src.Stream(rs.Jobs)
-		if err != nil {
-			return nil, err
-		}
-		// The counting wrapper recovers WorkloadInfo (job count, offered
-		// load over the replayed prefix) from the jobs that actually flow
-		// past, since no workload object exists to ask.
-		cs := &countingStream{js: jr}
-		_, err = sim.RunStream(src.Name, src.MaxNodes(), cs, s, runOpts)
-		cerr := jr.Close()
-		if err != nil {
-			return nil, fmt.Errorf("runspec: simulating %s: %w", rs.Scheduler, err)
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("runspec: trace %s: %w", src.Path, cerr)
-		}
-		out = append(out, RunResult{
-			Load: load,
-			Workload: WorkloadInfo{
-				Name: src.Name, Jobs: cs.jobs, Nodes: src.MaxNodes(),
-				OfferedLoad: cs.offeredLoad(src.MaxNodes()),
-			},
-			Report: col.Report(),
-			Series: col.Series(),
-		})
+	// The counting wrapper recovers WorkloadInfo (job count, offered
+	// load over the replayed prefix) from the jobs that actually flow
+	// past, since no workload object exists to ask.
+	cs := &countingStream{js: jr}
+	_, err = sim.RunStream(r.src.Name, r.src.MaxNodes(), cs, s, opts)
+	if cerr := jr.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("trace %s: %w", r.src.Path, cerr)
 	}
-	return out, nil
+	if err != nil {
+		return WorkloadInfo{}, err
+	}
+	return WorkloadInfo{
+		Name: r.src.Name, Jobs: cs.jobs, Nodes: r.src.MaxNodes(),
+		OfferedLoad: cs.offeredLoad(r.src.MaxNodes()),
+	}, nil
 }
 
 // countingStream passes jobs through while accumulating the aggregate

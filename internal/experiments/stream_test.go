@@ -7,6 +7,7 @@ import (
 
 	"parsched/internal/sched"
 	"parsched/internal/swf"
+	"parsched/internal/workload/trace"
 )
 
 // cleanedTrace writes the cleaned (streamable) form of the trace
@@ -35,28 +36,23 @@ func traceSpec(path string) RunSpec {
 func TestExecuteAutoStreamMatchesMaterialized(t *testing.T) {
 	path := cleanedTrace(t)
 
-	// Force the materialized path first (threshold far above the file),
-	// then the streaming path (threshold at zero), and require identical
-	// results — the auto-stream gate must be invisible in the output.
-	saved := autoStreamBytes
-	defer func() { autoStreamBytes = saved }()
-
-	autoStreamBytes = 1 << 60
-	if _, ok := traceSpec(path).streamSource(); ok {
-		t.Fatal("small file must not trigger streaming")
-	}
-	mat, err := Execute(traceSpec(path))
-	if err != nil {
-		t.Fatalf("materialized Execute: %v", err)
-	}
-
-	autoStreamBytes = 0
+	// Execute streams the faithful replay of a streamable file, whatever
+	// its size; ExecuteSource always materializes. The results must be
+	// identical — the choice of path must be invisible in the output.
 	if _, ok := traceSpec(path).streamSource(); !ok {
-		t.Fatal("streamable trace above threshold must trigger streaming")
+		t.Fatal("faithful replay of a streamable file must stream")
 	}
 	str, err := Execute(traceSpec(path))
 	if err != nil {
 		t.Fatalf("streaming Execute: %v", err)
+	}
+	src, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := ExecuteSource(src, traceSpec(path))
+	if err != nil {
+		t.Fatalf("materialized ExecuteSource: %v", err)
 	}
 
 	if !reflect.DeepEqual(mat, str) {
@@ -66,33 +62,36 @@ func TestExecuteAutoStreamMatchesMaterialized(t *testing.T) {
 
 func TestAutoStreamGateRespectsRunShape(t *testing.T) {
 	path := cleanedTrace(t)
-	saved := autoStreamBytes
-	defer func() { autoStreamBytes = saved }()
-	autoStreamBytes = 0
-
 	base := traceSpec(path)
-	if _, ok := base.streamSource(); !ok {
+	src, ok := base.streamSource()
+	if !ok {
 		t.Fatal("baseline spec should stream")
 	}
 
-	cases := map[string]RunSpec{}
+	shapes := map[string]RunSpec{}
 	loaded := base
 	loaded.Loads = []float64{0.8} // rescaling needs the materialized workload
-	cases["rescaled load"] = loaded
+	shapes["rescaled load"] = loaded
 	rep := base
 	rep.Rep = 2 // gap resampling needs the materialized workload
-	cases["replication variant"] = rep
+	shapes["replication variant"] = rep
 	fb := base
 	fb.Sim.Feedback = true // closed loop is unsupported in streaming
-	cases["feedback"] = fb
-	model := base
-	model.Source = Source{Kind: sourceModel, Arg: defaultSubstrate}
-	cases["model source"] = model
+	shapes["feedback"] = fb
 
-	for name, rs := range cases {
+	for name, rs := range shapes {
 		if _, ok := rs.streamSource(); ok {
 			t.Errorf("%s: must fall back to the materialized path", name)
 		}
+		// The explicit entry point refuses the same shapes.
+		if _, err := ExecuteStream(src, rs); err == nil {
+			t.Errorf("%s: ExecuteStream must refuse it", name)
+		}
+	}
+	model := base
+	model.Source = Source{Kind: sourceModel, Arg: defaultSubstrate}
+	if _, ok := model.streamSource(); ok {
+		t.Error("model source: must fall back to the materialized path")
 	}
 
 	// Truncation is compatible with streaming (a prefix of the stream).

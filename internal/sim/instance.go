@@ -14,9 +14,10 @@ import (
 )
 
 // Instance is one machine + machine scheduler living on a shared event
-// engine. The single-machine entry point Run wraps one Instance; the
-// metacomputing layer (internal/meta) places several Instances on one
-// engine and routes jobs between them — the Figure 1 architecture.
+// engine. The single-machine entry points Run and RunStream wrap one
+// Instance; the metacomputing layer (internal/meta) places several
+// Instances on one engine and routes jobs between them — the Figure 1
+// architecture.
 type Instance struct {
 	// Name labels the machine (site name in grids).
 	Name string
@@ -99,16 +100,20 @@ type Instance struct {
 	// scheduler's reservation ledger prove its walked queue is a strict
 	// prefix of the current one without comparing elements.
 	submitEpoch uint64
+	// submitted counts fresh submittals only (kill requeues excluded):
+	// the replay kernel's NeverSubmitted is the stream's job count
+	// minus it.
+	submitted int
 
 	resvResults []ReservationOutcome
 	nextResvID  int64
 
 	// pruneFinal deletes a job's outcome entry the moment its final
-	// outcome is emitted (completion or permanent drop). RunStream sets
-	// it under DiscardOutcomes: observers have already seen the outcome,
-	// nothing reads it later, and keeping it would make the outcome map
-	// grow with the trace — the one O(jobs) structure left in a
-	// streaming replay. The map then holds only in-flight jobs.
+	// outcome is emitted (completion or permanent drop). The replay
+	// kernel sets it under DiscardOutcomes: observers have already seen
+	// the outcome, nothing reads it later, and keeping it would make the
+	// outcome map grow with the trace — the one O(jobs) structure left
+	// in a streaming replay. The map then holds only in-flight jobs.
 	pruneFinal bool
 
 	// FinishHook, when set, observes every final job termination
@@ -161,7 +166,7 @@ func (sm *Instance) Machine() *cluster.Machine { return sm.machine }
 
 // SubmitAt schedules job j to arrive at time t.
 //
-//schedlint:hotpath entry point: arrival injection for materialized replays
+//schedlint:hotpath entry point: arrival injection for meta grids
 func (sm *Instance) SubmitAt(j *core.Job, t int64) {
 	sm.engine.At(t, des.PriorityArrival, func() { sm.submit(j, t) })
 }
@@ -243,8 +248,8 @@ func (sm *Instance) ReservationOutcomes() []ReservationOutcome {
 	return append([]ReservationOutcome(nil), sm.resvResults...)
 }
 
-// AnnounceOutage makes an outage window visible to the scheduler from
-// the current instant (the sim.Run wrapper schedules these from the
+// announceOutage makes an outage window visible to the scheduler from
+// the current instant (the replay kernel schedules these from the
 // outage log).
 func (sm *Instance) announceOutage(win sched.Window, announced int64) {
 	if n := len(sm.outageWins); n > 0 && win.Start < sm.outageWins[n-1].win.Start {
@@ -294,7 +299,7 @@ func (sm *Instance) Reserve(r sched.Reservation) int64 {
 }
 
 // ---------------------------------------------------------------------
-// internals (shared with sim.Run)
+// internals
 
 // submit delivers a job to the scheduler, recording its effective
 // submittal time (feedback shifts it relative to the workload file).
@@ -310,6 +315,7 @@ func (sm *Instance) submit(j *core.Job, effective int64) {
 	}
 	sm.outcomes[j.ID] = o
 	sm.submitEpoch++
+	sm.submitted++
 	sm.callback(func() { sm.schedule.OnSubmit(sm, j) })
 }
 

@@ -9,8 +9,10 @@
 // The simulator owns time (internal/des), resources
 // (internal/cluster), and job lifecycles; the scheduler plugs in via
 // the internal/sched interfaces. All runs are deterministic. The
-// single-machine entry point is Run; multi-machine grids assemble
-// Instances directly (see internal/meta).
+// single-machine entry points are Run (a materialized workload) and
+// RunStream (a pull-based job stream); both are thin wrappers over one
+// replay kernel, Run feeding it a slice-backed stream. Multi-machine
+// grids assemble Instances directly (see internal/meta).
 package sim
 
 import (
@@ -98,8 +100,9 @@ type Result struct {
 	Scheduler string
 	Workload  string
 	Outcomes  []metrics.Outcome
-	// NeverSubmitted counts feedback jobs whose predecessor never
-	// terminated inside the horizon.
+	// NeverSubmitted counts the workload's jobs that never reached the
+	// scheduler: arrivals the horizon cut off, and feedback jobs whose
+	// predecessor never terminated in time.
 	NeverSubmitted int
 	Reservations   []ReservationOutcome
 	// Events is the DES event count (a cost indicator for benchmarks).
@@ -135,191 +138,52 @@ type runState struct {
 }
 
 // Run simulates workload w under scheduler s. The workload is cloned;
-// the caller's copy is never mutated (schedulers may mold jobs).
+// the caller's copy is never mutated (schedulers may mold jobs). The
+// clone replays through the same kernel as RunStream, as a slice-backed
+// job stream.
 func Run(w *core.Workload, s sched.Scheduler, opts Options) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid workload: %w", err)
 	}
 	w = w.Clone()
-
-	// Arrivals are delivered by one self-rearming cursor walking the
-	// submit-sorted job list, so the peak pending-event population is
-	// one finish event per running job plus the injected streams — not
-	// one event per trace job; pre-sizing the engine for that makes the
-	// run allocation-free in steady state.
-	engine := des.NewEngine(w.MaxNodes + 2*len(opts.Reservations) + 64)
-	sm, err := NewInstance(engine, w.Name, w.MaxNodes, s, opts)
+	sm, err := newReplay(w.Name, w.MaxNodes, s, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// Arrival events: one cursor event replays the trace in submit
-	// order (feedback jobs wait for their predecessor instead),
-	// delivering every same-instant arrival in one firing. The cursor's
-	// PriorityTraceArrival class keeps those batches ordered before
-	// same-instant feedback resubmissions, exactly as the old
-	// event-per-job materialization did by insertion sequence — and one
-	// live closure replaces len(Jobs) of them.
 	if opts.Feedback {
+		// Every dependent waits for its predecessor from the start, since
+		// a predecessor may terminate before the pump reaches its
+		// dependent; the pump then skips dependents.
 		for _, j := range w.Jobs {
 			if j.PrecedingJob > 0 {
 				sm.AwaitPredecessor(j)
 			}
 		}
 	}
-	next := 0
-	skipAwaited := func() {
-		for next < len(w.Jobs) && opts.Feedback && w.Jobs[next].PrecedingJob > 0 {
-			next++
-		}
-	}
-	var cursor func()
-	cursor = func() {
-		now := engine.Now()
-		for {
-			j := w.Jobs[next]
-			next++
-			sm.submit(j, now)
-			skipAwaited()
-			if next >= len(w.Jobs) || w.Jobs[next].Submit != now {
-				break
-			}
-		}
-		if next < len(w.Jobs) {
-			engine.At(w.Jobs[next].Submit, des.PriorityTraceArrival, cursor)
-		}
-	}
-	skipAwaited()
-	if next < len(w.Jobs) {
-		engine.At(w.Jobs[next].Submit, des.PriorityTraceArrival, cursor)
-	}
-
-	// Outage events: announcements make windows visible; node
-	// transitions batched by timestamp change the machine.
-	if opts.Outages != nil {
-		scheduleOutages(engine, sm, opts.Outages)
-	}
-
-	// Reservation events: become visible at announcement, claim
-	// processors at start, release at end.
-	for _, r := range opts.Reservations {
-		r := r
-		announce := r.Announced
-		if announce < 0 {
-			announce = 0
-		}
-		if announce > r.Start {
-			announce = r.Start
-		}
-		engine.At(announce, des.PriorityOutage, func() { sm.Reserve(r) })
-	}
-
-	scheduleSampling(engine, sm, opts)
-
-	if opts.Horizon > 0 {
-		engine.RunUntil(opts.Horizon)
-	} else {
-		engine.Run()
-	}
-
-	return collect(sm, w, engine), nil
+	return sm.replay(core.NewSliceStream(w.Jobs))
 }
 
-// scheduleSampling installs the recurring instrumentation event that
-// feeds SampleObservers. The tick reschedules itself only while live
-// events remain, so sampling covers the whole run without keeping the
-// engine alive afterwards.
-func scheduleSampling(engine *des.Engine, sm *Instance, opts Options) {
-	if opts.SampleEvery <= 0 {
-		return
+// RunStream simulates the jobs pulled from js under scheduler s on a
+// machine of maxNodes nodes. The stream must yield jobs in
+// non-decreasing submit order with IDs sequential from 1 (the contract
+// core.JobStream documents and trace.JobReader guarantees); violations
+// abort the run with an error. Only one arrival is in flight at a time,
+// so with DiscardOutcomes a replay holds state for the jobs queued or
+// running, never for the whole trace.
+//
+// Feedback replay is not supported: a closed loop needs every dependent
+// registered before its predecessor can terminate, and a pull-based
+// stream only hands over a dependent when its recorded submit time
+// comes. Materialize the workload and use Run for feedback studies.
+//
+//schedlint:hotpath entry point: streaming replay; taints des/sched/cluster/metrics/swf/trace cross-package
+func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, opts Options) (*Result, error) {
+	if opts.Feedback {
+		return nil, fmt.Errorf("sim: streaming replay does not support feedback (closed-loop) mode; use Run") //schedlint:allow allocfree setup error path: rejects the spec before any event fires
 	}
-	var samplers []SampleObserver
-	for _, ob := range opts.Observers {
-		if so, ok := ob.(SampleObserver); ok {
-			samplers = append(samplers, so) //schedlint:allow allocfree setup: observer fan-out assembled once per run
-		}
+	sm, err := newReplay(name, maxNodes, s, opts)
+	if err != nil {
+		return nil, err
 	}
-	if len(samplers) == 0 {
-		return
-	}
-	interval := opts.SampleEvery
-	var tick func()
-	tick = func() {
-		sm.recordSample(samplers)
-		if engine.Live() {
-			engine.After(interval, des.PrioritySample, tick)
-		}
-	}
-	engine.At(0, des.PrioritySample, tick)
-}
-
-// scheduleOutages wires an outage log into an instance: announcement
-// events (scheduler visibility) plus batched node up/down transitions.
-func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) {
-	for _, rec := range log.Records {
-		rec := rec
-		announced := rec.Announced
-		if announced < 0 {
-			announced = 0
-		}
-		engine.At(announced, des.PriorityOutage, func() {
-			sm.announceOutage(sched.Window{
-				Start: rec.Start, End: rec.End, Procs: len(rec.Nodes),
-			}, rec.Announced)
-		})
-	}
-	evs := outage.Events(log)
-	for i := 0; i < len(evs); {
-		k := i
-		for k < len(evs) && evs[k].Time == evs[i].Time {
-			k++
-		}
-		var downs, ups []int
-		for _, ev := range evs[i:k] {
-			if ev.Down {
-				downs = append(downs, int(ev.Node)) //schedlint:allow allocfree setup: outage batches wired once per run, before the event loop
-			} else {
-				ups = append(ups, int(ev.Node)) //schedlint:allow allocfree setup: outage batches wired once per run, before the event loop
-			}
-		}
-		if t := evs[i].Time; t >= 0 {
-			engine.At(t, des.PriorityOutage, func() { sm.applyNodeEvents(downs, ups) })
-		}
-		i = k
-	}
-}
-
-// collect assembles the result after the event loop drains. Jobs that
-// never reached a final termination (still queued or running at the
-// horizon) are flushed to the observers here — final outcomes were
-// already delivered at event time — so observers see every submitted
-// job exactly once.
-func collect(sm *Instance, w *core.Workload, engine *des.Engine) *Result {
-	res := &Result{Scheduler: sm.schedule.Name(), Workload: w.Name, Events: engine.Processed}
-	if !sm.opts.DiscardOutcomes {
-		res.Outcomes = make([]metrics.Outcome, 0, len(w.Jobs))
-	}
-	for _, j := range w.Jobs {
-		o, ok := sm.outcomes[j.ID]
-		if !ok {
-			// Feedback job whose predecessor never terminated.
-			res.NeverSubmitted++
-			continue
-		}
-		oo := *o
-		if oo.End < 0 {
-			// Still queued or running when the simulation ended.
-			if rs, running := sm.running[j.ID]; running {
-				oo.Start = rs.start
-			}
-			if !oo.Dropped {
-				sm.emit(oo)
-			}
-		}
-		if !sm.opts.DiscardOutcomes {
-			res.Outcomes = append(res.Outcomes, oo)
-		}
-	}
-	res.Reservations = sm.resvResults
-	return res
+	return sm.replay(js)
 }

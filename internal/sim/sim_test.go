@@ -256,6 +256,70 @@ func TestFeedbackChainNeverSubmitted(t *testing.T) {
 	}
 }
 
+func TestFeedbackReleaseAfterHorizonNeverSubmitted(t *testing.T) {
+	// Job 1 ends at 100; its dependent is released 1000 s later, past
+	// the horizon, so it never reaches the scheduler.
+	w := wl(8, [3]int64{0, 8, 100}, [3]int64{10, 8, 100})
+	w.Jobs[1].PrecedingJob = 1
+	w.Jobs[1].ThinkTime = 1000
+	res := mustRun(t, w, sched.NewFCFS(), Options{Feedback: true, Horizon: 500})
+	if res.NeverSubmitted != 1 {
+		t.Fatalf("NeverSubmitted = %d, want 1", res.NeverSubmitted)
+	}
+	if o := outcomeByID(res, 2); o.JobID != -1 {
+		t.Fatalf("dependent released past the horizon has an outcome: %+v", o)
+	}
+}
+
+func TestFeedbackDependentBehindHorizonCutArrival(t *testing.T) {
+	// Job 3 depends on job 1 but follows job 2 in submit order, and job
+	// 2 arrives after the horizon: the arrival cursor never reaches job
+	// 3, yet job 1's completion at 10 releases it at 15. It must still
+	// be reported, and only job 2 counts as never submitted.
+	w := wl(8, [3]int64{0, 8, 10}, [3]int64{1000, 8, 10}, [3]int64{1000, 8, 10})
+	w.Jobs[2].PrecedingJob = 1
+	w.Jobs[2].ThinkTime = 5
+	res := mustRun(t, w, sched.NewFCFS(), Options{Feedback: true, Horizon: 500})
+	if o := outcomeByID(res, 3); o.JobID != 3 || o.Submit != 15 || !o.Finished() {
+		t.Fatalf("job 3 outcome %+v, want submitted at 15 and finished", o)
+	}
+	if res.NeverSubmitted != 1 {
+		t.Fatalf("NeverSubmitted = %d, want 1", res.NeverSubmitted)
+	}
+}
+
+// TestReplayPrunesOutcomeMap: under DiscardOutcomes the kernel deletes
+// each final outcome once observers have it, so a drained replay leaves
+// the outcome map empty; a retaining run keeps one entry per submitted
+// job.
+func TestReplayPrunesOutcomeMap(t *testing.T) {
+	jobs := synthStreamJobs(2000)
+	for _, discard := range []bool{true, false} {
+		seen := 0
+		sm, err := newReplay("synth", 128, sched.NewEASY(), Options{
+			DiscardOutcomes: discard,
+			Observers:       []Observer{observerFunc(func(metrics.Outcome) { seen++ })},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sm.replay(core.NewSliceStream(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(jobs) || res.NeverSubmitted != 0 {
+			t.Fatalf("discard=%v: observers saw %d of %d jobs, %d never submitted", discard, seen, len(jobs), res.NeverSubmitted)
+		}
+		want := len(jobs)
+		if discard {
+			want = 0
+		}
+		if len(sm.outcomes) != want {
+			t.Fatalf("discard=%v: %d outcome map entries after a drained replay, want %d", discard, len(sm.outcomes), want)
+		}
+	}
+}
+
 func TestReservationGrantAndRelease(t *testing.T) {
 	// Empty machine: a reservation for 6 of 8 procs over [100, 200).
 	w := wl(8, [3]int64{150, 4, 10}) // 4-proc job at t=150 cannot start (only 2 free)

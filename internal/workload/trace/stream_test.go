@@ -9,8 +9,10 @@ import (
 
 	"parsched/internal/core"
 	"parsched/internal/metrics"
+	"parsched/internal/outage"
 	"parsched/internal/sched"
 	"parsched/internal/sim"
+	"parsched/internal/stats"
 	"parsched/internal/swf"
 )
 
@@ -129,9 +131,15 @@ func TestStreamRefusesRescaledOrResampledShapes(t *testing.T) {
 	}
 }
 
-// runBoth replays the fixture through scheduler spec both ways and
-// returns the two metric reports plus event counts.
-func runBoth(t *testing.T, path, spec string, opts sim.Options) (mat, str metrics.Report, matEv, strEv uint64) {
+// replayRun is one side of a materialized-vs-streamed replay.
+type replayRun struct {
+	rep    metrics.Report
+	series *metrics.TimeSeries
+	res    *sim.Result
+}
+
+// runBoth replays the fixture through scheduler spec both ways.
+func runBoth(t *testing.T, path, spec string, opts sim.Options) (mat, str replayRun) {
 	t.Helper()
 	src, ss := openBoth(t, path)
 
@@ -168,19 +176,61 @@ func runBoth(t *testing.T, path, spec string, opts sim.Options) (mat, str metric
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
 	}
-	return col1.Report(), col2.Report(), res1.Events, res2.Events
+	return replayRun{col1.Report(), col1.Series(), res1}, replayRun{col2.Report(), col2.Series(), res2}
+}
+
+// injectedStreams builds an outage log (failures plus announced
+// maintenance), two advance reservations and a sampling cadence over
+// the span of w, so a replay exercises every stream the simulator
+// wires besides arrivals.
+func injectedStreams(w *core.Workload) sim.Options {
+	span := w.Span()
+	return sim.Options{
+		Outages: outage.Generate(outage.GeneratorConfig{
+			Nodes: int64(w.MaxNodes), Horizon: span,
+			MTBF:              stats.Exponential{Lambda: 8 / float64(span)},
+			Repair:            stats.Constant{C: 1800},
+			MaintenanceEvery:  span / 3,
+			MaintenanceLength: 3600,
+			MaintenanceLead:   86400,
+		}, 5),
+		Reservations: []sched.Reservation{
+			{ID: 1, Procs: max(1, w.MaxNodes/4), Start: span / 4, End: span/4 + 7200, Announced: span/4 - 86400},
+			{ID: 2, Procs: max(1, w.MaxNodes/2), Start: span / 2, End: span/2 + 3600},
+		},
+		SampleEvery: 3600,
+	}
 }
 
 func TestRunStreamMatchesRun(t *testing.T) {
 	path := streamableFixture(t)
-	for _, spec := range []string{"easy", "cons", "fcfs"} {
-		t.Run(spec, func(t *testing.T) {
-			mat, str, matEv, strEv := runBoth(t, path, spec, sim.Options{})
-			if !reflect.DeepEqual(mat, str) {
-				t.Fatalf("reports diverge:\nmaterialized %+v\nstreamed     %+v", mat, str)
+	src, _ := openBoth(t, path)
+	cases := []struct {
+		name, spec string
+		opts       sim.Options
+	}{
+		{"easy", "easy", sim.Options{}},
+		{"cons", "cons", sim.Options{}},
+		{"fcfs", "fcfs", sim.Options{}},
+		{"outages+reservations+sampling", "cons(window)", injectedStreams(src.Workload(Options{}))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mat, str := runBoth(t, path, c.spec, c.opts)
+			if !reflect.DeepEqual(mat.rep, str.rep) {
+				t.Fatalf("reports diverge:\nmaterialized %+v\nstreamed     %+v", mat.rep, str.rep)
 			}
-			if matEv != strEv {
-				t.Fatalf("event counts diverge: %d vs %d", matEv, strEv)
+			if mat.res.Events != str.res.Events {
+				t.Fatalf("event counts diverge: %d vs %d", mat.res.Events, str.res.Events)
+			}
+			if !reflect.DeepEqual(mat.res.Reservations, str.res.Reservations) {
+				t.Fatalf("reservation outcomes diverge:\nmaterialized %+v\nstreamed     %+v", mat.res.Reservations, str.res.Reservations)
+			}
+			if !reflect.DeepEqual(mat.series, str.series) {
+				t.Fatal("sampled time series diverge")
+			}
+			if len(mat.res.Reservations) != len(c.opts.Reservations) || (c.opts.SampleEvery > 0) != (mat.series != nil) {
+				t.Fatalf("injected streams missing: %d reservation outcomes, series %v", len(mat.res.Reservations), mat.series != nil)
 			}
 		})
 	}
@@ -190,9 +240,12 @@ func TestRunStreamMatchesRunUnderHorizon(t *testing.T) {
 	path := streamableFixture(t)
 	// A horizon that cuts the replay mid-flight exercises the residual
 	// flush and the never-submitted tail accounting.
-	mat, str, _, _ := runBoth(t, path, "easy", sim.Options{Horizon: 200000})
-	if !reflect.DeepEqual(mat, str) {
-		t.Fatalf("horizon reports diverge:\nmaterialized %+v\nstreamed     %+v", mat, str)
+	mat, str := runBoth(t, path, "easy", sim.Options{Horizon: 200000})
+	if !reflect.DeepEqual(mat.rep, str.rep) {
+		t.Fatalf("horizon reports diverge:\nmaterialized %+v\nstreamed     %+v", mat.rep, str.rep)
+	}
+	if mat.res.NeverSubmitted != str.res.NeverSubmitted {
+		t.Fatalf("never submitted: %d vs %d", mat.res.NeverSubmitted, str.res.NeverSubmitted)
 	}
 }
 
@@ -201,41 +254,6 @@ func TestRunStreamRejectsFeedback(t *testing.T) {
 		t.Fatal("RunStream must reject feedback mode")
 	}
 }
-
-func TestRunStreamPrunesOutcomeMap(t *testing.T) {
-	// Indirect but load-bearing: with DiscardOutcomes the streaming
-	// replay must not accumulate per-job state. We can't measure the map
-	// from outside, so replay a stream larger than any plausible
-	// in-flight population and check allocations stay modest via the
-	// equivalence benchmark instead; here we at least pin that final
-	// outcomes really are emitted exactly once to observers.
-	path := streamableFixture(t)
-	_, ss := openBoth(t, path)
-	s, err := sched.New("easy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	jr, err := ss.Stream(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
-	_, err = sim.RunStream(ss.Name, ss.MaxNodes(), jr, s, sim.Options{
-		DiscardOutcomes: true,
-		Observers:       []sim.Observer{observerFunc(func(metrics.Outcome) { n++ })},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != ss.JobCount() {
-		t.Fatalf("observers saw %d outcomes for %d jobs", n, ss.JobCount())
-	}
-}
-
-type observerFunc func(metrics.Outcome)
-
-func (f observerFunc) Observe(o metrics.Outcome) { f(o) }
 
 func TestCachedKeysByAbsolutePath(t *testing.T) {
 	// "testdata/mini.swf" and its absolute form must share one entry.

@@ -78,7 +78,7 @@ func TestFacadeUnknownNames(t *testing.T) {
 	if _, err := Simulate(w, "nope", SimOptions{}); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if _, err := RunExperiment("E42", true); err == nil {
+	if _, err := RunExperimentConfig("E42", QuickExperimentConfig()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -174,18 +174,18 @@ func TestFacadeConfigEntryPoints(t *testing.T) {
 	if len(tables) != 1 || len(tables[0].Rows) == 0 {
 		t.Fatal("E3 produced no rows")
 	}
-	// The deprecated shim must agree with the explicit-config path.
-	legacy, err := RunExperiment("E3", true)
+	// The same configuration must reproduce the same table.
+	again, err := RunExperimentConfig("E3", QuickExperimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tables[0].String() != legacy[0].String() {
-		t.Fatal("deprecated shim diverges from RunExperimentConfig")
+	if tables[0].String() != again[0].String() {
+		t.Fatal("RunExperimentConfig is not deterministic")
 	}
 }
 
 func TestFacadeRunExperimentQuick(t *testing.T) {
-	tables, err := RunExperiment("E3", true)
+	tables, err := RunExperimentConfig("E3", QuickExperimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
