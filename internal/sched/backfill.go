@@ -67,10 +67,12 @@ type EASY struct {
 	// specs like "easy(reserve=2)".
 	Reserve int
 	// DisableLedger turns off the resumable-pass reservation ledger the
-	// deep-reserve walk keeps (Reserve > 1), forcing every pass to
-	// re-derive every reservation from scratch. Decisions are identical
-	// either way — the ledger resumes the exact deterministic walk — so
-	// the switch exists only for the equivalence property tests and the
+	// deep-reserve walk keeps (Reserve > 1) and the walk cut (lastFit),
+	// forcing every pass to walk every queued job and re-derive every
+	// reservation from scratch. Decisions are identical either way — the
+	// ledger resumes the exact deterministic walk, and the cut skips only
+	// jobs that cannot start — so the switch exists only as the full-walk
+	// reference for the equivalence property tests and the
 	// quadratic-vs-incremental ablation benchmarks.
 	DisableLedger bool
 
@@ -373,29 +375,40 @@ func (e *EASY) schedule(ctx Context) {
 // shadow-time path above); depth >= queue length is conservative
 // backfilling.
 //
-// The walk runs through the reservation ledger: a pass over an
+// The walk stops after the last queued job that still fits now (see
+// lastFit) and runs through the reservation ledger: a pass over an
 // unchanged base with an intact queue prefix resumes at the first
-// unwalked job (or skips entirely when there is none) instead of
+// unwalked job (or skips entirely when no job arrived since) instead of
 // re-deriving every reservation; see resvLedger for the validity proof.
 func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
-	i := 0
+	i, checked := 0, 0
 	if !e.DisableLedger && e.ledger.resumable(ctx, p, now, e.queue, e.queueGen) {
 		if debugchecks.Enabled {
 			e.ledger.verifyResume(ctx, e.Windows, e.queue, e.Reserve, now)
 		}
-		if len(e.queue) == len(e.ledger.entries) {
-			// Pass-skip: every queued job was walked against this very
-			// base and nothing relevant has changed — reservations would
-			// re-derive identically and sweep rejections only harden.
+		if len(e.queue) == e.ledger.checked {
+			// Pass-skip: every queued job was walked or cut against this
+			// very base and nothing relevant has changed — reservations
+			// would re-derive identically and rejections only harden.
 			return
 		}
-		i = len(e.ledger.entries)
+		i, checked = len(e.ledger.entries), e.ledger.checked
 		e.ledger.restore(p, now)
 	} else {
 		e.ledger.beginPass()
 	}
 	gen := e.queueGen
+	last := len(e.queue) - 1
 	for i < len(e.queue) {
+		if !e.DisableLedger {
+			floor := max(i, checked)
+			if last = lastFit(p, now, e.queue, e.estq, last, floor); last < floor {
+				if debugchecks.Enabled {
+					verifyCut(ctx, p, e.queue, e.estq, i, e.Reserve, now)
+				}
+				break
+			}
+		}
 		j := e.queue[i]
 		est := e.estq[i]
 		if i < e.Reserve {
@@ -407,6 +420,7 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				e.estq = append(e.estq[:i], e.estq[i+1:]...)
 				e.queueGen++
+				last--
 				continue
 			}
 			if start >= 0 {
@@ -424,6 +438,7 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			e.estq = append(e.estq[:i], e.estq[i+1:]...)
 			e.queueGen++
+			last--
 			continue
 		}
 		e.ledger.add(j, est, ledgerSwept)
@@ -433,7 +448,7 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 	// the recorded walk (it also changed the running set, so the next
 	// build re-stamps regardless). Only an all-blocked pass commits.
 	if !e.DisableLedger && e.queueGen == gen {
-		e.ledger.commit(ctx, p, e.queueGen)
+		e.ledger.commit(ctx, p, e.queueGen, len(e.queue))
 	} else {
 		e.ledger.ok = false
 	}
@@ -458,22 +473,73 @@ func (e *EASY) canStartNow(ctx Context, p *Profile, j *core.Job, est int64) bool
 	return ctx.CanStart(j, j.Size)
 }
 
+// lastFit is the walk cut. A pass decides only which jobs start now,
+// and a job starts only if it fits now under the pass's profile; a
+// reservation for a job that cannot start only guards it against later
+// backfill in the same pass. So a walk may stop once no job left to
+// walk fits now. The walk only removes capacity (Take, TakeStarted), so
+// a job that fails FitsAt once fails for the rest of the pass: the
+// caller keeps last, the last queued position that may still fit, and
+// before each step lastFit re-tests it and moves it back past jobs that
+// no longer fit. That costs at most one FitsAt per queued job on top of
+// the walked ones. A result below floor, the walk position or the
+// ledger's checked frontier, means no job from there on can start.
+func lastFit(p *Profile, now int64, queue []*core.Job, estq []int64, last, floor int) int {
+	for last >= floor && !p.FitsAt(now, estq[last], queue[last].Size) {
+		last--
+	}
+	return last
+}
+
+// verifyCut is the debugchecks dual-run for the walk cut: it finishes
+// the skipped walk from position from on a copy of p, reserving the
+// jobs within depth reserve and offering the rest immediate backfill,
+// and panics if any skipped job would start.
+func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, from, reserve int, now int64) {
+	if !debugchecks.Enabled {
+		return
+	}
+	shadow := p.clone()
+	for i := from; i < len(queue); i++ {
+		j, est := queue[i], estq[i]
+		if i < reserve {
+			start := shadow.EarliestFit(now, est, j.Size)
+			if start == now && ctx.CanStart(j, j.Size) {
+				panic(fmt.Sprintf("sched: cut dual-run: skipped job %d would start now", j.ID))
+			}
+			if start >= 0 {
+				shadow.Take(start, start+est, j.Size)
+			}
+			continue
+		}
+		if ctx.CanStart(j, j.Size) && shadow.FitsAt(now, est, j.Size) {
+			panic(fmt.Sprintf("sched: cut dual-run: skipped job %d would backfill now", j.ID))
+		}
+	}
+}
+
 const maxFuture = int64(1) << 60
 
 // Conservative is conservative backfilling: every queued job gets a
 // reservation, and a job may backfill only if it delays no earlier
-// reservation. This implementation rebuilds the full profile on every
-// event and walks the queue in arrival order, which reproduces the
+// reservation. Each pass walks the queue in arrival order over the
+// availability profile, starting the jobs that fit now and carving a
+// reservation for each one that does not, which reproduces the
 // algorithm's guarantee directly: job i's start never trails the
-// estimate-based promise made at its submittal.
+// estimate-based promise made at its submittal. The walk stops after
+// the last queued job that still fits now (see lastFit), and a pass
+// over an unchanged profile base resumes the walk its predecessor
+// recorded instead of re-deriving it (see resvLedger).
 type Conservative struct {
 	// Windows folds outages/reservations into the profile.
 	Windows bool
-	// DisableLedger turns off the resumable-pass reservation ledger,
-	// forcing every pass to re-derive every reservation from scratch.
-	// Decisions are identical either way — the ledger resumes the exact
-	// deterministic arrival-order walk — so the switch exists only for
-	// the equivalence property tests and the quadratic-vs-incremental
+	// DisableLedger turns off the resumable-pass reservation ledger and
+	// the walk cut (lastFit), forcing every pass to walk every queued job
+	// and re-derive every reservation from scratch. Decisions are
+	// identical either way — the ledger resumes the exact deterministic
+	// arrival-order walk, and the cut skips only jobs that cannot start —
+	// so the switch exists only as the full-walk reference for the
+	// equivalence property tests and the quadratic-vs-incremental
 	// ablation benchmarks.
 	DisableLedger bool
 
@@ -543,15 +609,15 @@ func (c *Conservative) schedule(ctx Context) {
 	// provably unchanged (see resvLedger): only jobs that arrived after
 	// the last committed pass need evaluation, and a pass with no new
 	// arrivals is a provable no-op.
-	from := 0
+	from, checked := 0, 0
 	if !c.DisableLedger && c.ledger.resumable(ctx, p, now, c.queue, c.queueGen) {
 		if debugchecks.Enabled {
 			c.ledger.verifyResume(ctx, c.Windows, c.queue, len(c.ledger.entries), now)
 		}
-		if len(c.queue) == len(c.ledger.entries) {
+		if len(c.queue) == c.ledger.checked {
 			return
 		}
-		from = len(c.ledger.entries)
+		from, checked = len(c.ledger.entries), c.ledger.checked
 		c.ledger.restore(p, now)
 	} else {
 		c.ledger.beginPass()
@@ -560,7 +626,18 @@ func (c *Conservative) schedule(ctx Context) {
 	gen := c.queueGen
 	kept := c.queue[:from]
 	keptEst := c.estq[:from]
-	for qi := from; qi < len(c.queue); qi++ {
+	last := len(c.queue) - 1
+	qi := from
+	for ; qi < len(c.queue); qi++ {
+		if !c.DisableLedger {
+			floor := max(qi, checked)
+			if last = lastFit(p, now, c.queue, c.estq, last, floor); last < floor {
+				if debugchecks.Enabled {
+					verifyCut(ctx, p, c.queue, c.estq, qi, len(c.queue), now)
+				}
+				break
+			}
+		}
 		j := c.queue[qi]
 		est := c.estq[qi]
 		start := p.EarliestFit(now, est, j.Size)
@@ -589,12 +666,13 @@ func (c *Conservative) schedule(ctx Context) {
 		keptEst = append(keptEst, est)
 		c.ledger.add(j, est, start)
 	}
-	c.queue = kept
-	c.estq = keptEst
+	// The cut tail stays queued in order, unreserved and unrecorded.
+	c.queue = append(kept, c.queue[qi:]...)
+	c.estq = append(keptEst, c.estq[qi:]...)
 	// A pass that started a job commits nothing: positions shifted and
 	// the running set changed, so the next build re-stamps anyway.
 	if !c.DisableLedger && c.queueGen == gen {
-		c.ledger.commit(ctx, p, c.queueGen)
+		c.ledger.commit(ctx, p, c.queueGen, len(c.queue))
 	} else {
 		c.ledger.ok = false
 	}

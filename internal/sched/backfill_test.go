@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"parsched/internal/core"
@@ -320,5 +321,94 @@ func TestEASYDeepReserveMatchesConservative(t *testing.T) {
 		if deep[i] != cons[i] {
 			t.Fatalf("start order differs: deep=%v cons=%v", deep, cons)
 		}
+	}
+}
+
+// TestWalkCutMatchesFullWalk drives a deep queue through a mock context
+// and checks the walk cut: a fruitless pass walks only up to the last
+// job that fits now, so it records fewer entries than there are queued
+// jobs but marks the whole queue checked, and every start and the queue
+// order stay those of a DisableLedger run, which walks every job.
+func TestWalkCutMatchesFullWalk(t *testing.T) {
+	type step struct {
+		at      int64
+		id      int64
+		size    int // > 0 submits job id; 0 finishes it
+		runtime int64
+		walked  int // after a fruitless pass: expected ledger entries; -1 skips the check
+	}
+	steps := []step{
+		{0, 1, 12, 1000, -1},
+		{0, 2, 16, 100, -1},
+		{0, 3, 4, 2000, 1}, // fits now until job 2's reservation is carved
+		{0, 4, 8, 50, 1},
+		{0, 5, 2, 500, -1}, // fits: the walk reserves jobs 3 and 4, then starts it
+		{0, 6, 4, 100, 0},  // nothing fits: not one job is walked
+		{500, 5, 0, 0, -1}, // job 6 backfills
+		{600, 6, 0, 0, 1},
+		{1000, 1, 0, 0, -1}, // job 2 starts on time
+		{1100, 2, 0, 0, -1}, // jobs 3 and 4 start on time
+	}
+	type trace struct {
+		started []int64
+		queues  [][]int64
+	}
+	drive := func(t *testing.T, s Scheduler, ledger *resvLedger) trace {
+		m := newMock(16)
+		var tr trace
+		for i, st := range steps {
+			m.advance(st.at)
+			if st.size > 0 {
+				s.OnSubmit(m, job(st.id, st.at, st.size, st.runtime))
+			} else {
+				m.finish(s, st.id)
+			}
+			q := s.(QueueReporter).Queued()
+			ids := make([]int64, len(q))
+			for k, j := range q {
+				ids[k] = j.ID
+			}
+			tr.queues = append(tr.queues, ids)
+			if ledger == nil || st.walked < 0 {
+				continue
+			}
+			if !ledger.ok || len(ledger.entries) != st.walked || ledger.checked != len(q) {
+				t.Fatalf("step %d: fruitless pass over %d queued jobs committed ok=%v entries=%d checked=%d, want %d entries and all checked",
+					i, len(q), ledger.ok, len(ledger.entries), ledger.checked, st.walked)
+			}
+		}
+		tr.started = m.started
+		return tr
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(disable bool) (Scheduler, *resvLedger)
+	}{
+		{"cons", func(d bool) (Scheduler, *resvLedger) {
+			s := &Conservative{DisableLedger: d}
+			return s, &s.ledger
+		}},
+		{"easy-deep", func(d bool) (Scheduler, *resvLedger) {
+			s := &EASY{Reserve: 3, DisableLedger: d}
+			return s, &s.ledger
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ledger := tc.mk(false)
+			cut := drive(t, s, ledger)
+			ref, _ := tc.mk(true)
+			full := drive(t, ref, nil)
+			if fmt.Sprint(cut.started) != fmt.Sprint(full.started) {
+				t.Fatalf("starts diverged: cut %v, full walk %v", cut.started, full.started)
+			}
+			for i := range steps {
+				if fmt.Sprint(cut.queues[i]) != fmt.Sprint(full.queues[i]) {
+					t.Fatalf("step %d: queue diverged: cut %v, full walk %v", i, cut.queues[i], full.queues[i])
+				}
+			}
+			if want := "[1 5 6 2 3 4]"; fmt.Sprint(cut.started) != want {
+				t.Fatalf("started %v, want %s", cut.started, want)
+			}
+		})
 	}
 }

@@ -33,10 +33,13 @@ type ledgerEntry struct {
 
 // resvLedger makes conservative-style passes resumable. After a pass
 // that started nothing, it persists the post-reservation profile
-// (times/frees snapshot) and the per-job reservation records, keyed by
-// the profile's build stamp. The next pass resumes the walk at the
-// first unwalked queue position — typically just-submitted jobs at the
-// tail — instead of re-deriving every reservation, when it can prove
+// (times/frees snapshot), the per-job reservation records, and how many
+// queued jobs the pass accounted for, keyed by the profile's build
+// stamp. The records cover the walked prefix; the jobs behind it up to
+// checked were cut because none of them fit now (see lastFit). The next
+// pass resumes the walk at the first unwalked queue position instead of
+// re-deriving every reservation, and tests only the jobs from checked
+// on — typically just-submitted ones at the tail — when it can prove
 // the recorded walk would replay bit-identically:
 //
 //   - the profile base is a cache hit (same Stamp(), unmutated): the
@@ -48,10 +51,13 @@ type ledgerEntry struct {
 //     condition and the scan past the first too-full segment is
 //     identical — and the sentinels only harden (FitsAt and fits are
 //     monotone false-ward as now advances over a fixed profile);
-//   - the walked queue is a strict prefix of the current queue
-//     (unchanged queueGen — the owning scheduler bumps it on every
-//     removal — plus the submit-epoch length check, or an element-wise
-//     ID comparison for contexts without the stamp).
+//   - the cut jobs still cannot start: every snapshot breakpoint lies
+//     after now, so a job that failed FitsAt at commit still overlaps
+//     the segment that failed it, and the walk only removes capacity;
+//   - the checked queue is a prefix of the current queue (unchanged
+//     queueGen — the owning scheduler bumps it on every removal — plus
+//     the submit-epoch length check, or an element-wise ID comparison
+//     of the walked jobs for contexts without the stamp).
 //
 // A pass that starts a job commits nothing: the start bumps the
 // context's run epoch, so the next build re-stamps anyway and the walk
@@ -74,6 +80,9 @@ type resvLedger struct {
 	minStart int64
 	// entries are the walked jobs, in queue (arrival) order.
 	entries []ledgerEntry
+	// checked is the queue length at commit: positions from
+	// len(entries) up to checked were cut, not walked.
+	checked int
 	// times/frees snapshot the post-reservation profile.
 	times []int64
 	frees []int
@@ -91,6 +100,7 @@ type resvLedger struct {
 func (l *resvLedger) beginPass() {
 	l.ok = false
 	l.entries = l.entries[:0]
+	l.checked = 0
 	l.minStart = maxFuture
 }
 
@@ -102,14 +112,16 @@ func (l *resvLedger) add(j *core.Job, est int64, start int64) {
 	}
 }
 
-// commit persists the post-pass profile and stamps. Call only after a
-// pass that started nothing (the caller checks its removal counter).
-func (l *resvLedger) commit(ctx Context, p *Profile, queueGen uint64) {
+// commit persists the post-pass profile and stamps, with queued, the
+// queue length, as the checked frontier. Call only after a pass that
+// started nothing (the caller checks its removal counter).
+func (l *resvLedger) commit(ctx Context, p *Profile, queueGen uint64, queued int) {
 	l.times = append(l.times[:0], p.times...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
 	l.frees = append(l.frees[:0], p.frees...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
 	l.stamp = p.Stamp()
 	l.mut = p.Mutated()
 	l.queueGen = queueGen
+	l.checked = queued
 	if qe, hasEpoch := ctx.(QueueEpoch); hasEpoch {
 		l.subEpoch, l.subOK = qe.SubmitEpoch(), true
 	} else {
@@ -123,14 +135,14 @@ func (l *resvLedger) commit(ctx Context, p *Profile, queueGen uint64) {
 // just built for this pass.
 func (l *resvLedger) resumable(ctx Context, p *Profile, now int64, queue []*core.Job, queueGen uint64) bool {
 	if !l.ok || l.stamp != p.Stamp() || p.Mutated() ||
-		l.queueGen != queueGen || now >= l.minStart || len(queue) < len(l.entries) {
+		l.queueGen != queueGen || now >= l.minStart || len(queue) < l.checked {
 		return false
 	}
 	if qe, hasEpoch := ctx.(QueueEpoch); hasEpoch {
 		// Every dispatch appended one job to the tail and the unchanged
 		// queueGen says none were removed, so the prefix is intact iff
 		// deliveries since commit account exactly for the length growth.
-		return l.subOK && qe.SubmitEpoch()-l.subEpoch == uint64(len(queue)-len(l.entries))
+		return l.subOK && qe.SubmitEpoch()-l.subEpoch == uint64(len(queue)-l.checked)
 	}
 	if l.subOK {
 		return false // stamped commit, unstamped context: never mix schemes
@@ -158,9 +170,10 @@ func (l *resvLedger) restore(p *Profile, now int64) {
 // re-executes the recorded prefix from scratch against a fresh profile
 // and panics on the first divergence — wrong job, wrong inputs, a
 // reservation that would land elsewhere, a swept job that would now
-// backfill, or a restored snapshot that differs from the replayed one.
-// reserve is the depth boundary the recording pass used (len(entries)
-// or more for conservative walks, the EASY depth for deep walks).
+// backfill, a cut job that would now fit, or a restored snapshot that
+// differs from the replayed one. reserve is the depth boundary the
+// recording pass used (len(entries) or more for conservative walks,
+// the EASY depth for deep walks).
 //
 // The call sits behind debugchecks.Enabled at every call site, so
 // release builds carry no trace of it.
@@ -204,6 +217,11 @@ func (l *resvLedger) verifyResume(ctx Context, windows bool, queue []*core.Job, 
 		}
 		if ctx.CanStart(j, j.Size) && shadow.FitsAt(now, est, j.Size) {
 			panic(fmt.Sprintf("sched: ledger dual-run: swept job %d would backfill on a from-scratch pass", e.id))
+		}
+	}
+	for _, j := range queue[len(l.entries):l.checked] {
+		if shadow.FitsAt(now, ctx.Estimate(j), j.Size) {
+			panic(fmt.Sprintf("sched: ledger dual-run: cut job %d fits now on a from-scratch pass", j.ID))
 		}
 	}
 	// The replayed prefix must land exactly on the snapshot the resumed

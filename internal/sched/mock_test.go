@@ -19,6 +19,8 @@ type mockContext struct {
 	shared  map[int64]float64
 	windows []Window
 	resv    []Window
+	// onStart, when set, runs after every Start.
+	onStart func(j *core.Job)
 }
 
 func newMock(total int) *mockContext {
@@ -43,6 +45,9 @@ func (m *mockContext) Start(j *core.Job, size int) {
 	})
 	sort.Slice(m.running, func(a, b int) bool { return m.running[a].ExpEnd < m.running[b].ExpEnd })
 	m.started = append(m.started, j.ID)
+	if m.onStart != nil {
+		m.onStart(j)
+	}
 }
 
 func (m *mockContext) Running() []RunningJob { return append([]RunningJob(nil), m.running...) }

@@ -130,7 +130,8 @@ func (p *Profile) Reset(start int64, free int) *Profile {
 	return p
 }
 
-// clone is used by tests.
+// clone copies the profile's segments, for tests and the debugchecks
+// cut dual-run (verifyCut).
 func (p *Profile) clone() *Profile {
 	return &Profile{
 		times: append([]int64(nil), p.times...),
@@ -634,7 +635,11 @@ const fitsScanLimit = 8
 // buildPrefixMin fills pm with the running minimum of frees.
 func (p *Profile) buildPrefixMin() {
 	if cap(p.pm) < len(p.frees) {
-		p.pm = make([]int, len(p.frees)) //schedlint:allow allocfree amortized doubling of the reused prefix-min cache, not a per-query allocation
+		c := 2 * cap(p.pm)
+		if c < len(p.frees) {
+			c = len(p.frees)
+		}
+		p.pm = make([]int, c) //schedlint:allow allocfree amortized doubling of the reused prefix-min cache, not a per-query allocation
 	}
 	p.pm = p.pm[:len(p.frees)]
 	m := p.frees[0]

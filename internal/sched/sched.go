@@ -116,11 +116,11 @@ type RunEpoch interface {
 // context dispatches (fresh submittals and kill-requeues alike). Since
 // a scheduler appends each delivered job to its queue tail, a ledger
 // that recorded the stamp alongside its queue length can verify "the
-// queue I walked is a strict prefix of the queue I see" in O(1):
+// queue I checked is a prefix of the queue I see" in O(1):
 // deliveries-since-commit must equal the length growth, provided the
 // scheduler separately knows nothing was removed (it owns removals —
 // they only happen when it starts a job). Contexts without the stamp
-// fall back to an element-wise ID comparison of the prefix.
+// fall back to an element-wise ID comparison of the walked jobs.
 type QueueEpoch interface {
 	SubmitEpoch() uint64
 }

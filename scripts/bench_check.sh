@@ -2,7 +2,7 @@
 # scripts/bench_check.sh — guard against performance regressions.
 #
 # Reruns a benchmark subset and compares each result against the
-# "current" section of a committed perf snapshot (BENCH_PR12.json by
+# "current" section of a committed perf snapshot (BENCH_PR16.json by
 # default). Fails if any shared benchmark regresses by more than
 # THRESHOLD percent in ns/op, or allocates more per op than the
 # snapshot plus ALLOC_SLACK: ns/op is noisy and gets a tolerance band;
@@ -31,7 +31,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SNAP="${1:-BENCH_PR12.json}"
+SNAP="${1:-BENCH_PR16.json}"
 BENCH="${BENCH:-BenchmarkAblation|BenchmarkLargeConservativeCongested$}"
 COUNT="${COUNT:-3}"
 THRESHOLD="${THRESHOLD:-20}"
