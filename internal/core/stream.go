@@ -5,8 +5,11 @@ import "parsched/internal/swf"
 // JobStream is a pull-based job source: the streaming counterpart of
 // Workload.Jobs. Next returns jobs in non-decreasing submit order with
 // IDs assigned from 1, exactly as a materialized workload would hold
-// them; it returns (nil, nil) when the stream is exhausted. Streams are
-// single-use and not safe for concurrent use.
+// them; it returns (nil, nil) when the stream is exhausted. A returned
+// job need only stay valid until the next call (trace.JobReader refills
+// one job every time), so a consumer that keeps a job copies it, as
+// sim.RunStream does. Streams are single-use and not safe for
+// concurrent use.
 type JobStream interface {
 	Next() (*Job, error)
 }
@@ -44,8 +47,8 @@ func JobFromRecord(r swf.Record) *Job {
 }
 
 // JobFromRecordInto is JobFromRecord writing into caller-owned storage:
-// every field of *j is overwritten, so slab allocators can hand out
-// jobs without a heap allocation each.
+// every field of *j is overwritten, so a reader can refill one job per
+// record without a heap allocation each.
 func JobFromRecordInto(j *Job, r swf.Record) {
 	size := r.Procs
 	if size <= 0 {

@@ -181,11 +181,21 @@ func (e *EASY) OnSubmit(ctx Context, j *core.Job) {
 // removals both keep that shape). When q is full but at least half of
 // buf lies free in front of it, q slides down to the start of buf
 // instead of growing, so a queue that drains as fast as it fills reuses
-// one array for the whole run; otherwise append grows it as usual.
-// Both cases are amortized O(1) per push.
+// one array for the whole run. When q is full, starts past the front
+// of buf and fills more than half of it, q moves to a new buf twice
+// the old one's size: append would grow q from its own capacity, which
+// the pops in front of it have shrunk, and could yield an array smaller
+// than buf, so a queue that swings past half of buf again would
+// allocate on every swing. A full q at the front of buf grows by
+// append into a new buf. So buf grows only with the peak queue length,
+// and every case is amortized O(1) per push.
 func pushBack[T any](q, buf []T, v T) ([]T, []T) {
-	if len(q) == cap(q) && cap(q) < cap(buf) && 2*len(q) <= cap(buf) {
-		q = buf[:copy(buf[:cap(buf)], q)]
+	if len(q) == cap(q) && cap(q) < cap(buf) {
+		if 2*len(q) <= cap(buf) {
+			q = buf[:copy(buf[:cap(buf)], q)]
+		} else {
+			q = append(make([]T, 0, 2*cap(buf)), q...) //schedlint:allow allocfree queue growth: buf doubles, so this happens only while the peak queue length grows
+		}
 	}
 	q = append(q, v)
 	if cap(q) > cap(buf) {

@@ -131,7 +131,11 @@ type Scheduler interface {
 	Name() string
 	// OnSubmit is invoked when a job arrives.
 	OnSubmit(ctx Context, j *core.Job)
-	// OnFinish is invoked when a job completes or is killed.
+	// OnFinish is invoked when a job completes or is dropped for good
+	// (a killed job that restarts is handed to OnSubmit again). The job
+	// may be reused once OnFinish returns — a streaming replay recycles
+	// its storage for a later job — so state a scheduler keeps past the
+	// call is keyed by job ID, never by the pointer.
 	OnFinish(ctx Context, j *core.Job)
 	// OnChange is invoked when capacity changes for any other reason:
 	// nodes fail or recover, reservations are accepted, begin, or end.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"parsched/internal/core"
 	"parsched/internal/debugchecks"
 )
 
@@ -36,4 +37,13 @@ func (sm *Instance) assertRunOrder() {
 	if debugchecks.Enabled {
 		sm.verifyRunOrder()
 	}
+}
+
+// poisonJob overwrites a recycled job slot with values no valid job
+// has — a negative ID, a size above the machine's total nodes and
+// negative times — so a scheduler that reads a job after its final
+// OnFinish has returned diverges instead of silently reading a stale
+// copy. terminate calls it when the debugchecks build tag is set.
+func poisonJob(j *core.Job, total int) {
+	*j = core.Job{ID: -j.ID, Submit: -1, Size: total + 1, Runtime: -1, Estimate: -1}
 }

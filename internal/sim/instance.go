@@ -8,6 +8,7 @@ import (
 
 	"parsched/internal/cluster"
 	"parsched/internal/core"
+	"parsched/internal/debugchecks"
 	"parsched/internal/des"
 	"parsched/internal/metrics"
 	"parsched/internal/sched"
@@ -29,11 +30,18 @@ type Instance struct {
 
 	running  map[int64]*runState
 	outcomes map[int64]*metrics.Outcome
-	// outcomeArena hands out Outcome structs in blocks, so a million-job
-	// replay performs thousands of outcome allocations, not millions. At
-	// most one partially-used block is in flight, so streaming replays
-	// with pruning stay O(1): a block is reclaimed once its outcomes are.
-	outcomeArena []metrics.Outcome
+	// outcomeSlab stores the outcome records; under pruneFinal each
+	// record goes back to it once the outcome is final, so a pruning
+	// replay allocates outcome storage only while its in-flight
+	// population grows.
+	outcomeSlab slab[metrics.Outcome]
+	// ownsJobs is set by RunStream: the arrival pump copies every job it
+	// pulls into jobSlab, and a job's slot goes back to the slab once its
+	// final OnFinish has returned. Run's jobs live in its private clone
+	// and other instances' jobs in their callers' storage, so neither is
+	// copied or recycled.
+	ownsJobs bool
+	jobSlab  slab[core.Job]
 	// runOrder mirrors running, kept sorted by (ExpEnd, job ID): the
 	// order Running() promises. It is maintained incrementally on every
 	// start/finish/kill instead of being re-sorted per scheduler
@@ -109,11 +117,12 @@ type Instance struct {
 	nextResvID  int64
 
 	// pruneFinal deletes a job's outcome entry the moment its final
-	// outcome is emitted (completion or permanent drop). The replay
-	// kernel sets it under DiscardOutcomes: observers have already seen
-	// the outcome, nothing reads it later, and keeping it would make the
-	// outcome map grow with the trace — the one O(jobs) structure left
-	// in a streaming replay. The map then holds only in-flight jobs.
+	// outcome is emitted (completion or permanent drop) and recycles the
+	// record. The replay kernel sets it under DiscardOutcomes: observers
+	// have already seen the outcome, nothing reads it later, and keeping
+	// it would make the outcome map grow with the trace — the one
+	// O(jobs) structure left in a streaming replay. The map then holds
+	// only in-flight jobs.
 	pruneFinal bool
 
 	// FinishHook, when set, observes every final job termination
@@ -304,11 +313,7 @@ func (sm *Instance) Reserve(r sched.Reservation) int64 {
 // submit delivers a job to the scheduler, recording its effective
 // submittal time (feedback shifts it relative to the workload file).
 func (sm *Instance) submit(j *core.Job, effective int64) {
-	if len(sm.outcomeArena) == 0 {
-		sm.outcomeArena = make([]metrics.Outcome, 256) //schedlint:allow allocfree arena refill: one allocation per 256 submits
-	}
-	o := &sm.outcomeArena[0]
-	sm.outcomeArena = sm.outcomeArena[1:]
+	o := sm.outcomeSlab.get() //schedlint:allow escape slab refill, inlined here: one block per 256 outcomes of peak in-flight population
 	*o = metrics.Outcome{
 		JobID: j.ID, User: j.User, Submit: effective,
 		Start: -1, End: -1, Size: j.Size, Runtime: j.Runtime,
@@ -429,15 +434,7 @@ func (sm *Instance) killJob(id int64) {
 	if sm.opts.DropKilled || o.Restarts > MaxRestarts {
 		o.Dropped = true
 		o.Start, o.End = -1, -1
-		sm.releaseDependents(job)
-		sm.emit(*o)
-		if sm.FinishHook != nil {
-			sm.FinishHook(job, *o)
-		}
-		if sm.pruneFinal {
-			delete(sm.outcomes, id)
-		}
-		sm.callback(func() { sm.schedule.OnFinish(sm, job) })
+		sm.terminate(job, o)
 		return
 	}
 	// Restart from scratch: hand the job back to the scheduler.
@@ -841,15 +838,31 @@ func (sm *Instance) finishJob(id int64) {
 	}
 	job := rs.job
 	sm.recycleRunState(rs)
+	sm.terminate(job, o)
+}
+
+// terminate ends job for good (completion or permanent drop) with final
+// outcome o: it releases the job's feedback dependents, hands o to the
+// observers and FinishHook, tells the scheduler, and recycles the
+// storage the simulator owns — o under pruneFinal, and the job's slot
+// once OnFinish has returned.
+func (sm *Instance) terminate(job *core.Job, o *metrics.Outcome) {
 	sm.releaseDependents(job)
 	sm.emit(*o)
 	if sm.FinishHook != nil {
 		sm.FinishHook(job, *o)
 	}
 	if sm.pruneFinal {
-		delete(sm.outcomes, id)
+		delete(sm.outcomes, job.ID)
+		sm.outcomeSlab.put(o) //schedlint:allow escape free list, inlined here: one block on its first free, then grown only with the peak in-flight population
 	}
 	sm.callback(func() { sm.schedule.OnFinish(sm, job) })
+	if sm.ownsJobs {
+		if debugchecks.Enabled {
+			poisonJob(job, sm.machine.Total())
+		}
+		sm.jobSlab.put(job) //schedlint:allow escape free list, inlined here: one block on its first free, then grown only with the peak in-flight population
+	}
 }
 
 // releaseDependents schedules the submittal of feedback jobs waiting on

@@ -20,8 +20,8 @@ import (
 // finish event per running job plus the injected streams — not one
 // event per trace job; pre-sizing the engine for that makes the run
 // allocation-free in steady state. Under DiscardOutcomes the instance
-// deletes each final outcome once observers have it, so the outcome
-// map holds only the jobs in flight.
+// deletes each final outcome once observers have it and reuses its
+// record, so the outcome map holds only the jobs in flight.
 func newReplay(name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
 	engine := des.NewEngine(maxNodes + 2*len(opts.Reservations) + 64)
 	sm, err := NewInstance(engine, name, maxNodes, s, opts)
@@ -93,12 +93,17 @@ type arrivalPump struct {
 }
 
 // pull takes the next job to arrive off the stream, enforcing the
-// JobStream contract; (nil, nil) at end of stream. Under Feedback it
-// passes over dependents, which Run registered with AwaitPredecessor.
+// JobStream contract; (nil, nil) at end of stream. When the instance
+// owns its jobs (RunStream) it returns a copy in a slab slot, so the
+// stream may reuse its job on the next call. Under Feedback (Run only)
+// it passes over dependents, which Run registered with AwaitPredecessor.
 func (p *arrivalPump) pull() (*core.Job, error) {
 	for {
 		j, err := p.js.Next()
 		if err != nil || j == nil {
+			if err == nil {
+				p.ended()
+			}
 			return nil, err
 		}
 		p.yielded++
@@ -115,10 +120,24 @@ func (p *arrivalPump) pull() (*core.Job, error) {
 			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
 		}
 		p.prevSubmit = j.Submit
-		if !p.sm.opts.Feedback || j.PrecedingJob <= 0 {
-			return j, nil
+		if p.sm.opts.Feedback && j.PrecedingJob > 0 {
+			continue
 		}
+		if p.sm.ownsJobs {
+			slot := p.sm.jobSlab.get() //schedlint:allow escape slab refill, inlined here: one block per 256 jobs of peak in-flight population
+			*slot = *j
+			j = slot
+		}
+		return j, nil
 	}
+}
+
+// ended marks the stream exhausted. No job slot is drawn after that,
+// and no outcome record either unless feedback jobs are still to be
+// released, so the slabs stop keeping what the rest of the run frees.
+func (p *arrivalPump) ended() {
+	p.sm.jobSlab.done = true
+	p.sm.outcomeSlab.done = !p.sm.opts.Feedback
 }
 
 // arm schedules j's arrival event.

@@ -171,6 +171,13 @@ func Run(w *core.Workload, s sched.Scheduler, opts Options) (*Result, error) {
 // so with DiscardOutcomes a replay holds state for the jobs queued or
 // running, never for the whole trace.
 //
+// Like Run, RunStream never mutates the caller's jobs (schedulers may
+// mold jobs): the arrival pump copies each job it pulls into storage
+// the simulator owns, so js may reuse one job across Next calls. A
+// slot is recycled once its job's final OnFinish has returned, and
+// with DiscardOutcomes so is each final outcome's record, so a replay
+// allocates per job in flight, not per job in the trace.
+//
 // Feedback replay is not supported: a closed loop needs every dependent
 // registered before its predecessor can terminate, and a pull-based
 // stream only hands over a dependent when its recorded submit time
@@ -185,5 +192,6 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	if err != nil {
 		return nil, err
 	}
+	sm.ownsJobs = true
 	return sm.replay(js)
 }

@@ -146,6 +146,37 @@ func TestWorkloadNotMutated(t *testing.T) {
 	}
 }
 
+// TestRunStreamLeavesStreamJobsUntouched: RunStream makes Run's promise
+// too. The moldable adapter rewrites Size, Runtime and Estimate of the
+// jobs it molds, which must be the simulator's copies, never the jobs
+// the stream handed over.
+func TestRunStreamLeavesStreamJobsUntouched(t *testing.T) {
+	jobs := synthStreamJobs(2000)
+	before := make([]core.Job, len(jobs))
+	for i, j := range jobs {
+		j.Class = core.Moldable
+		j.Speedup = core.AmdahlSpeedup{F: 0.05}
+		j.MinSize, j.MaxSize = 1, j.Size
+		before[i] = *j
+	}
+	s, err := sched.New("easy(mold)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunStream("synth", 128, core.NewSliceStream(jobs), s, Options{DiscardOutcomes: true}); err != nil {
+		t.Fatal(err)
+	}
+	mutated := 0
+	for i, j := range jobs {
+		if *j != before[i] {
+			mutated++
+		}
+	}
+	if mutated > 0 {
+		t.Fatalf("RunStream mutated %d of the stream's %d jobs", mutated, len(jobs))
+	}
+}
+
 func TestOutageKillsAndRestarts(t *testing.T) {
 	// One 4-proc job running 0..1000; node 0 fails at t=500 for 100 s.
 	w := wl(8, [3]int64{0, 4, 1000})

@@ -112,17 +112,16 @@ type JobReader struct {
 	limit int
 	n     int
 	prev  int64
-	// slab hands out jobs in blocks of jobSlab, so a million-job replay
-	// performs thousands of job allocations, not millions. A block stays
-	// reachable only while one of its jobs is in flight.
-	slab []core.Job
+	// job is the one job every Next call refills and returns, so reading
+	// a trace allocates nothing per record.
+	job core.Job
 }
 
-// jobSlab is the number of jobs JobReader allocates at a time.
-const jobSlab = 256
-
 // Next implements core.JobStream: jobs with IDs 1, 2, ... in
-// non-decreasing submit order, (nil, nil) at end of trace.
+// non-decreasing submit order, (nil, nil) at end of trace. The job is
+// valid only until the next call, like bufio.Scanner.Bytes: every call
+// overwrites the same storage, so a caller that keeps a job copies it
+// (sim.RunStream does).
 func (r *JobReader) Next() (*core.Job, error) {
 	if r.limit > 0 && r.n >= r.limit {
 		return nil, nil
@@ -143,13 +142,8 @@ func (r *JobReader) Next() (*core.Job, error) {
 	}
 	r.prev = rec.Submit
 	r.n++
-	if len(r.slab) == 0 {
-		r.slab = make([]core.Job, jobSlab) //schedlint:allow allocfree slab refill: one allocation per 256 jobs
-	}
-	j := &r.slab[0]
-	r.slab = r.slab[1:]
-	core.JobFromRecordInto(j, rec)
-	return j, nil
+	core.JobFromRecordInto(&r.job, rec)
+	return &r.job, nil
 }
 
 // Close releases the underlying file.

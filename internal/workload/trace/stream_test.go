@@ -49,7 +49,8 @@ func openBoth(t *testing.T, path string) (*Source, *StreamSource) {
 	return src, ss
 }
 
-// drain pulls every job off a stream.
+// drain pulls every job off a stream, copying each: a stream's job is
+// valid only until its next Next call.
 func drain(t *testing.T, js core.JobStream) []*core.Job {
 	t.Helper()
 	var out []*core.Job
@@ -61,7 +62,8 @@ func drain(t *testing.T, js core.JobStream) []*core.Job {
 		if j == nil {
 			return out
 		}
-		out = append(out, j)
+		c := *j
+		out = append(out, &c)
 	}
 }
 
@@ -202,37 +204,63 @@ func injectedStreams(w *core.Workload) sim.Options {
 	}
 }
 
+// TestRunStreamMatchesRun replays the fixture through every registered
+// scheduler name and the reserve-depth, window-aware and moldable
+// variants: bare (one subtest per spec), with the injected streams
+// (outage kills that restart, reservations, sampling), and with those
+// streams dropping killed jobs for good. The streamed side recycles
+// each job's slot after its final OnFinish, whether it completed or was
+// dropped; under debugchecks the slot is also poisoned, so a scheduler
+// that reads a job after OnFinish diverges from the materialized run
+// here.
 func TestRunStreamMatchesRun(t *testing.T) {
 	path := streamableFixture(t)
 	src, _ := openBoth(t, path)
-	cases := []struct {
-		name, spec string
-		opts       sim.Options
-	}{
-		{"easy", "easy", sim.Options{}},
-		{"cons", "cons", sim.Options{}},
-		{"fcfs", "fcfs", sim.Options{}},
-		{"outages+reservations+sampling", "cons(window)", injectedStreams(src.Workload(Options{}))},
+	injected := injectedStreams(src.Workload(Options{}))
+	dropping := injected
+	dropping.DropKilled = true
+	specs := append(sched.Names(), "easy(reserve=3)", "easy(window)", "cons(window)", "easy(mold)")
+	dropped := 0
+	check := func(t *testing.T, spec string, opts sim.Options) {
+		mat, str := runBoth(t, path, spec, opts)
+		if !reflect.DeepEqual(mat.rep, str.rep) {
+			t.Fatalf("reports diverge:\nmaterialized %+v\nstreamed     %+v", mat.rep, str.rep)
+		}
+		if mat.res.Events != str.res.Events {
+			t.Fatalf("event counts diverge: %d vs %d", mat.res.Events, str.res.Events)
+		}
+		if !reflect.DeepEqual(mat.res.Reservations, str.res.Reservations) {
+			t.Fatalf("reservation outcomes diverge:\nmaterialized %+v\nstreamed     %+v", mat.res.Reservations, str.res.Reservations)
+		}
+		if !reflect.DeepEqual(mat.series, str.series) {
+			t.Fatal("sampled time series diverge")
+		}
+		if len(mat.res.Reservations) != len(opts.Reservations) || (opts.SampleEvery > 0) != (mat.series != nil) {
+			t.Fatalf("injected streams missing: %d reservation outcomes, series %v", len(mat.res.Reservations), mat.series != nil)
+		}
+		if mat.rep.Dropped > 0 && !opts.DropKilled {
+			t.Fatalf("%d jobs dropped without DropKilled", mat.rep.Dropped)
+		}
+		dropped += mat.rep.Dropped
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			mat, str := runBoth(t, path, c.spec, c.opts)
-			if !reflect.DeepEqual(mat.rep, str.rep) {
-				t.Fatalf("reports diverge:\nmaterialized %+v\nstreamed     %+v", mat.rep, str.rep)
-			}
-			if mat.res.Events != str.res.Events {
-				t.Fatalf("event counts diverge: %d vs %d", mat.res.Events, str.res.Events)
-			}
-			if !reflect.DeepEqual(mat.res.Reservations, str.res.Reservations) {
-				t.Fatalf("reservation outcomes diverge:\nmaterialized %+v\nstreamed     %+v", mat.res.Reservations, str.res.Reservations)
-			}
-			if !reflect.DeepEqual(mat.series, str.series) {
-				t.Fatal("sampled time series diverge")
-			}
-			if len(mat.res.Reservations) != len(c.opts.Reservations) || (c.opts.SampleEvery > 0) != (mat.series != nil) {
-				t.Fatalf("injected streams missing: %d reservation outcomes, series %v", len(mat.res.Reservations), mat.series != nil)
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) { check(t, spec, sim.Options{}) })
+	}
+	for _, v := range []struct {
+		name string
+		opts sim.Options
+	}{
+		{"outages+reservations+sampling", injected},
+		{"outages+reservations+sampling+dropkilled", dropping},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			for _, spec := range specs {
+				t.Run(spec, func(t *testing.T) { check(t, spec, v.opts) })
 			}
 		})
+	}
+	if dropped == 0 {
+		t.Fatal("no case dropped a killed job; the drop path went unexercised")
 	}
 }
 

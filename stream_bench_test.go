@@ -1,21 +1,24 @@
 package parsched
 
-// Streaming-replay benchmarks: a synthesized million-job SWF log
-// replayed through the pull-based pipeline (trace.OpenStream →
-// sim.RunStream) with sketch-mode metrics. Each op covers the whole
-// pipeline — statistics pass, cleaning scan, simulation — so ns/op is
-// end-to-end trace-to-report latency. B/op and allocs/op are the
-// memory story: records are scanned in place, jobs and outcomes come
-// from 256-entry slabs, and arrival events, run states and queue
-// arrays are reused, so allocs/op is a few thousand (about two slab
-// refills per 256 jobs plus fixed set-up) however long the trace is,
-// and peak residency is bounded by the jobs in flight.
+// Streaming-replay benchmarks: a synthesized SWF log replayed through
+// the pull-based pipeline (trace.OpenStream → sim.RunStream) with
+// sketch-mode metrics. Each op covers the whole pipeline — statistics
+// pass, cleaning scan, simulation — so ns/op is end-to-end
+// trace-to-report latency. B/op and allocs/op are the memory story:
+// records are scanned in place, the trace reader refills one job, the
+// simulator copies each job into a slot it recycles once the job is
+// done and recycles each final outcome's record, and arrival events,
+// run states and queue arrays are reused. So B/op and allocs/op are a
+// fixed set-up sized by the jobs in flight (about 200 allocations),
+// however long the trace is, and so is peak residency.
 
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"parsched/internal/metrics"
@@ -65,40 +68,41 @@ func writeSyntheticSWF(path string, jobs int) error {
 	return f.Close()
 }
 
-// streamBenchLog synthesizes the benchmark log once per benchmark
-// process, outside any timer.
-var streamBenchPath string
+// streamBenchLogs holds the synthesized logs by job count, each written
+// once per benchmark process, outside any timer.
+var streamBenchLogs = map[int]string{}
 
-func streamBenchLog(b *testing.B) string {
+func streamBenchLog(b *testing.B, jobs int) string {
 	b.Helper()
-	if streamBenchPath != "" {
-		return streamBenchPath
+	if path, ok := streamBenchLogs[jobs]; ok {
+		return path
 	}
 	dir, err := os.MkdirTemp("", "parsched-stream-bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(dir, "million.swf")
-	if err := writeSyntheticSWF(path, streamBenchJobs); err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("synthetic-%d.swf", jobs))
+	if err := writeSyntheticSWF(path, jobs); err != nil {
 		b.Fatal(err)
 	}
-	streamBenchPath = path
+	streamBenchLogs[jobs] = path
 	return path
 }
 
-// replayStream runs the full streaming pipeline once.
-func replayStream(b *testing.B, path string, s sched.Scheduler) {
-	b.Helper()
+// replayStream runs the full streaming pipeline once over the log at
+// path, which holds jobs jobs.
+func replayStream(tb testing.TB, path string, s sched.Scheduler, jobs int) {
+	tb.Helper()
 	src, err := trace.OpenStream(path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if !src.Streamable() {
-		b.Fatal("synthetic log must be streamable")
+		tb.Fatal("synthetic log must be streamable")
 	}
 	jr, err := src.Stream(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer jr.Close()
 	col := metrics.NewCollector(metrics.CollectorOptions{
@@ -110,11 +114,11 @@ func replayStream(b *testing.B, path string, s sched.Scheduler) {
 		Observers:       []sim.Observer{col},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rep := col.Report()
-	if rep.Jobs != streamBenchJobs || res.NeverSubmitted != 0 {
-		b.Fatalf("replay lost jobs: reported %d, never-submitted %d", rep.Jobs, res.NeverSubmitted)
+	if rep.Jobs != jobs || res.NeverSubmitted != 0 {
+		tb.Fatalf("replay lost jobs: reported %d of %d, never-submitted %d", rep.Jobs, jobs, res.NeverSubmitted)
 	}
 }
 
@@ -122,11 +126,25 @@ func replayStream(b *testing.B, path string, s sched.Scheduler) {
 // EASY backfilling, full pipeline per op. Divide allocs/op by 1e6 for
 // the per-job allocation constant.
 func BenchmarkStreamReplay1M(b *testing.B) {
-	path := streamBenchLog(b)
+	path := streamBenchLog(b, streamBenchJobs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayStream(b, path, sched.NewEASY())
+		replayStream(b, path, sched.NewEASY(), streamBenchJobs)
+	}
+}
+
+// BenchmarkStreamReplay100k replays the first 100k jobs of the same log
+// (the generator is sequential, so the smaller log is a prefix of the
+// larger): fast enough for the CI regression guard, and long enough
+// that any per-job allocation shows in its B/op and allocs/op.
+func BenchmarkStreamReplay100k(b *testing.B) {
+	const jobs = 100_000
+	path := streamBenchLog(b, jobs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replayStream(b, path, sched.NewEASY(), jobs)
 	}
 }
 
@@ -134,10 +152,44 @@ func BenchmarkStreamReplay1M(b *testing.B) {
 // conservative backfilling (every queued job holds a reservation — the
 // heavier profile workload).
 func BenchmarkStreamReplay1MCons(b *testing.B) {
-	path := streamBenchLog(b)
+	path := streamBenchLog(b, streamBenchJobs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayStream(b, path, sched.NewConservative())
+		replayStream(b, path, sched.NewConservative(), streamBenchJobs)
+	}
+}
+
+// TestStreamReplayBytesPerJob pins the heap bytes the streaming replay
+// allocates per job near zero. The trace reader refills one job and the
+// simulator recycles each job's slot and outcome record, so what a
+// replay allocates is a set-up sized by the jobs in flight, not by the
+// trace. The constant is the slope of runtime.MemStats.TotalAlloc
+// between a 20k-job and a 40k-job replay of the synthesized log (the
+// smallest of three replays each, since only other goroutines can add
+// to a reading), so the set-up cancels out.
+func TestStreamReplayBytesPerJob(t *testing.T) {
+	dir := t.TempDir()
+	replayBytes := func(jobs int) uint64 {
+		path := filepath.Join(dir, fmt.Sprintf("synthetic-%d.swf", jobs))
+		if err := writeSyntheticSWF(path, jobs); err != nil {
+			t.Fatal(err)
+		}
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			replayStream(t, path, sched.NewEASY(), jobs)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const small, large = 20_000, 40_000
+	bs, bl := replayBytes(small), replayBytes(large)
+	perJob := (float64(bl) - float64(bs)) / (large - small)
+	t.Logf("%d B per %d-job replay, %d B per %d-job replay: %.2f B per job", bs, small, bl, large, perJob)
+	if perJob > 4 {
+		t.Fatalf("streaming replay allocates %.2f B per job, want <= 4", perJob)
 	}
 }
