@@ -113,34 +113,9 @@ type EASY struct {
 	// over an unchanged profile can flip true to false but never back;
 	// and the machine state cannot change without a rebuild. Only jobs
 	// queued behind sweepLen need evaluation.
-	//
-	// The memo also survives shrink-only rebuilds (same grow stamp:
-	// every intervening build was an aging, a window splice, or a
-	// TakeStarted — all leave the profile pointwise <= the recorded one
-	// from now on) provided the sweep gates are unchanged (same shadow
-	// and extra) and no capacity rise has fallen due (now < sweepUntil,
-	// the recorded profile's first free-count increase): under those
-	// guards a swept job's rejection only hardens — the interval FitsAt
-	// tests slides right over non-increasing capacity, and the free
-	// count a CanStart rejection saw cannot have grown back without
-	// crossing the rise boundary or bumping the grow stamp.
-	sweepOK     bool
-	sweepStamp  uint64
-	sweepLen    int
-	sweepGrow   uint64
-	sweepShadow int64
-	sweepExtra  int
-	sweepUntil  int64
-	// shadowGrow mirrors the profile's grow stamp at shadow-cache fill.
-	// When the full stamp has moved but the grow stamp has not, every
-	// intervening rebuild was shrink-only, so the head's earliest fit
-	// cannot have moved earlier — the search resumes at the cached value
-	// instead of rescanning from now.
-	shadowGrow uint64
-	// started maps running job ID -> the expected end this scheduler
-	// mirrored into the profile at start, so OnFinish can absorb the
-	// completion into the built-base snapshot (see Profile.AbsorbFinish).
-	started map[int64]int64
+	sweepOK    bool
+	sweepStamp uint64
+	sweepLen   int
 }
 
 // NewEASY returns plain EASY backfilling.
@@ -205,25 +180,10 @@ func pushBack[T any](q, buf []T, v T) ([]T, []T) {
 }
 
 // OnFinish implements Scheduler.
-func (e *EASY) OnFinish(ctx Context, j *core.Job) {
-	if end, ok := e.started[j.ID]; ok {
-		delete(e.started, j.ID)
-		e.scratch.AbsorbFinish(ctx, end, j.Size)
-	}
-	e.schedule(ctx)
-}
+func (e *EASY) OnFinish(ctx Context, j *core.Job) { e.schedule(ctx) }
 
 // OnChange implements Scheduler.
 func (e *EASY) OnChange(ctx Context) { e.schedule(ctx) }
-
-// markStarted records the expected end mirrored into the profile for a
-// job this scheduler just started, keyed for OnFinish absorption.
-func (e *EASY) markStarted(id, expEnd int64) {
-	if e.started == nil {
-		e.started = make(map[int64]int64) //schedlint:allow allocfree one-time map spine for the started-job index
-	}
-	e.started[id] = expEnd //schedlint:allow allocfree amortized map growth: one insert per started job
-}
 
 // profile builds the availability profile EASY consults. Without
 // Windows, only running jobs count (classic EASY is oblivious to
@@ -244,20 +204,8 @@ func (e *EASY) schedule(ctx Context) {
 	// candidate makes window-heavy runs quadratic).
 	p := e.profile(ctx)
 
-	// Phase 1: start jobs FCFS from the head while they fit. A cached
-	// shadow strictly in the future proves the head cannot start now —
-	// the machine free count tracks the profile's first segment, so a
-	// blocked earliest-fit implies FitsAt(now) is false — and the proof
-	// survives shrink-only rebuilds (same grow stamp: the earliest fit
-	// only moves later), so the whole phase is a no-op without touching
-	// the fit kernels. Windows mode only: the windowless head check is
-	// CanStart alone, which a future earliest fit does not bound (the
-	// blocking segment may lie beyond now even when the head fits now).
-	headBlocked := e.Windows && len(e.queue) > 0 && e.shadowOK && !p.Mutated() &&
-		e.shadowHead == e.queue[0].ID && e.shadowVal > now &&
-		(e.shadowStamp == p.Stamp() || e.shadowGrow == p.GrowStamp()) &&
-		e.shadowSize == e.queue[0].Size && e.shadowEst == e.estq[0]
-	for !headBlocked && len(e.queue) > 0 {
+	// Phase 1: start jobs FCFS from the head while they fit.
+	for len(e.queue) > 0 {
 		head := e.queue[0]
 		est := e.estq[0]
 		if !e.canStartNow(ctx, p, head, est) {
@@ -265,7 +213,6 @@ func (e *EASY) schedule(ctx Context) {
 		}
 		ctx.Start(head, head.Size)
 		p.TakeStarted(ctx, now, now+est, head.Size)
-		e.markStarted(head.ID, now+est)
 		e.queue = e.queue[1:]
 		e.estq = e.estq[1:]
 		e.queueGen++
@@ -288,18 +235,7 @@ func (e *EASY) schedule(ctx Context) {
 		e.shadowSize == head.Size && e.shadowVal >= now {
 		shadow = e.shadowVal
 	} else {
-		after := now
-		if e.shadowOK && e.shadowGrow == p.GrowStamp() &&
-			e.shadowHead == head.ID && e.shadowEst == headEst &&
-			e.shadowSize == head.Size && e.shadowVal != maxFuture &&
-			e.shadowVal > now {
-			// The base changed but only by losing capacity (a start, a
-			// claim, a surfaced window): no hole can have appeared before
-			// the cached reservation, so resume the search there instead
-			// of rescanning the profile from now.
-			after = e.shadowVal
-		}
-		shadow = p.EarliestFit(after, headEst, head.Size)
+		shadow = p.EarliestFit(now, headEst, head.Size)
 		if shadow < 0 {
 			// The head can never fit (bigger than the machine after
 			// failures); skip backfill gating against it.
@@ -311,7 +247,6 @@ func (e *EASY) schedule(ctx Context) {
 		e.shadowOK = !p.Mutated()
 		if e.shadowOK {
 			e.shadowStamp, e.shadowHead = p.Stamp(), head.ID
-			e.shadowGrow = p.GrowStamp()
 			e.shadowEst, e.shadowSize, e.shadowVal = headEst, head.Size, shadow
 		}
 	}
@@ -319,20 +254,8 @@ func (e *EASY) schedule(ctx Context) {
 	extra := p.FreeAt(shadow) - head.Size
 
 	i := 1
-	if e.sweepOK && !p.Mutated() && e.sweepLen <= len(e.queue) {
-		if e.sweepStamp == p.Stamp() {
-			i = e.sweepLen
-		} else if e.sweepGrow == p.GrowStamp() && e.sweepShadow == shadow &&
-			e.sweepExtra == extra && now < e.sweepUntil {
-			// Shrink-only rebuilds since the memo (same grow stamp) left
-			// the profile pointwise at or below the recorded one from now
-			// on, the shadow gates compare against identical bounds, and
-			// no capacity rise has fallen due yet — so every recorded
-			// rejection still holds: FitsAt slides right over
-			// non-increasing capacity and the machine free count tracks
-			// the profile's first segment. See the sweep memo field docs.
-			i = e.sweepLen
-		}
+	if e.sweepOK && !p.Mutated() && e.sweepStamp == p.Stamp() && e.sweepLen <= len(e.queue) {
+		i = e.sweepLen
 	}
 	for i < len(e.queue) {
 		j := e.queue[i]
@@ -346,7 +269,6 @@ func (e *EASY) schedule(ctx Context) {
 		if (fitsBefore || fitsBeside) && e.canStartNow(ctx, p, j, est) {
 			ctx.Start(j, j.Size)
 			p.TakeStarted(ctx, now, now+est, j.Size)
-			e.markStarted(j.ID, now+est)
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			e.estq = append(e.estq[:i], e.estq[i+1:]...)
 			e.queueGen++
@@ -369,10 +291,6 @@ func (e *EASY) schedule(ctx Context) {
 	if e.sweepOK = !p.Mutated(); e.sweepOK {
 		e.sweepStamp = p.Stamp()
 		e.sweepLen = len(e.queue)
-		e.sweepGrow = p.GrowStamp()
-		e.sweepShadow = shadow
-		e.sweepExtra = extra
-		e.sweepUntil = p.NextCapacityRise()
 	}
 }
 
@@ -392,7 +310,7 @@ func (e *EASY) schedule(ctx Context) {
 // re-deriving every reservation; see resvLedger for the validity proof.
 func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 	i, checked := 0, 0
-	if !e.DisableLedger && e.ledger.resumable(ctx, p, now, e.queue, e.queueGen) {
+	if !e.DisableLedger && e.ledger.resumable(ctx, p, now, len(e.queue), e.queueGen) {
 		if debugchecks.Enabled {
 			e.ledger.verifyResume(ctx, e.Windows, e.queue, e.Reserve, now)
 		}
@@ -426,7 +344,6 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 			if start == now && ctx.CanStart(j, j.Size) {
 				ctx.Start(j, j.Size)
 				p.TakeStarted(ctx, now, now+est, j.Size)
-				e.markStarted(j.ID, now+est)
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				e.estq = append(e.estq[:i], e.estq[i+1:]...)
 				e.queueGen++
@@ -444,7 +361,6 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 		if ctx.CanStart(j, j.Size) && p.FitsAt(now, est, j.Size) {
 			ctx.Start(j, j.Size)
 			p.TakeStarted(ctx, now, now+est, j.Size)
-			e.markStarted(j.ID, now+est)
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			e.estq = append(e.estq[:i], e.estq[i+1:]...)
 			e.queueGen++
@@ -565,9 +481,6 @@ type Conservative struct {
 	// it walked is still a prefix of the one it sees.
 	ledger   resvLedger
 	queueGen uint64
-	// started maps running job ID -> the expected end mirrored into the
-	// profile at start, for OnFinish absorption (see Profile.AbsorbFinish).
-	started map[int64]int64
 }
 
 // NewConservative returns conservative backfilling.
@@ -595,13 +508,7 @@ func (c *Conservative) OnSubmit(ctx Context, j *core.Job) {
 }
 
 // OnFinish implements Scheduler.
-func (c *Conservative) OnFinish(ctx Context, j *core.Job) {
-	if end, ok := c.started[j.ID]; ok {
-		delete(c.started, j.ID)
-		c.scratch.AbsorbFinish(ctx, end, j.Size)
-	}
-	c.schedule(ctx)
-}
+func (c *Conservative) OnFinish(ctx Context, j *core.Job) { c.schedule(ctx) }
 
 // OnChange implements Scheduler.
 func (c *Conservative) OnChange(ctx Context) { c.schedule(ctx) }
@@ -620,7 +527,7 @@ func (c *Conservative) schedule(ctx Context) {
 	// the last committed pass need evaluation, and a pass with no new
 	// arrivals is a provable no-op.
 	from, checked := 0, 0
-	if !c.DisableLedger && c.ledger.resumable(ctx, p, now, c.queue, c.queueGen) {
+	if !c.DisableLedger && c.ledger.resumable(ctx, p, now, len(c.queue), c.queueGen) {
 		if debugchecks.Enabled {
 			c.ledger.verifyResume(ctx, c.Windows, c.queue, len(c.ledger.entries), now)
 		}
@@ -656,10 +563,6 @@ func (c *Conservative) schedule(ctx Context) {
 			// Its processors are busy until its expected end; reflect
 			// that for the jobs behind it.
 			p.TakeStarted(ctx, now, now+est, j.Size)
-			if c.started == nil {
-				c.started = make(map[int64]int64) //schedlint:allow allocfree one-time map spine for the started-job index
-			}
-			c.started[j.ID] = now + est //schedlint:allow allocfree amortized map growth: one insert per started job
 			c.queueGen++
 			continue
 		}

@@ -69,7 +69,7 @@ func TestEASYOnSubmitSteadyStateAllocs(t *testing.T) {
 		ctx.finishFirst(e)
 	}
 	for i := 0; i < 2*pool; i++ {
-		cycle() // warm up: started-job index, profile buffers, queue arrays
+		cycle() // warm up: profile buffers, queue arrays
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("EASY submit/start/finish cycle: %v allocs, want 0", allocs)

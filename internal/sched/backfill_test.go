@@ -359,7 +359,7 @@ func TestWalkCutMatchesFullWalk(t *testing.T) {
 		for i, st := range steps {
 			m.advance(st.at)
 			if st.size > 0 {
-				s.OnSubmit(m, job(st.id, st.at, st.size, st.runtime))
+				m.submit(s, job(st.id, st.at, st.size, st.runtime))
 			} else {
 				m.finish(s, st.id)
 			}
@@ -408,6 +408,41 @@ func TestWalkCutMatchesFullWalk(t *testing.T) {
 			}
 			if want := "[1 5 6 2 3 4]"; fmt.Sprint(cut.started) != want {
 				t.Fatalf("started %v, want %s", cut.started, want)
+			}
+		})
+	}
+}
+
+// TestDeepReserveStartsAfterPhaseOneJobFinishes: on 8 processors,
+// EASY{Reserve: 2} runs job 1 while jobs 2, 3 (wider than the machine)
+// and 4 queue. Job 1's finish at t=100 lets phase 1 start job 2, and
+// the walk behind it commits. Job 2's finish at t=150 leaves the
+// running set as empty as it was before job 2 started, and job 4 must
+// start then: no pass may reuse a walk that predates the finish. The
+// case runs through the stamped mock and with the stamps hidden.
+func TestDeepReserveStartsAfterPhaseOneJobFinishes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(Scheduler) Scheduler
+	}{
+		{"stamped", func(s Scheduler) Scheduler { return s }},
+		{"stampless", func(s Scheduler) Scheduler { return stampless{s} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMock(8)
+			s := tc.wrap(&EASY{Reserve: 2})
+			for _, j := range []*core.Job{job(1, 0, 8, 100), job(2, 0, 8, 50), job(3, 0, 9, 10), job(4, 0, 8, 10)} {
+				m.submit(s, j)
+			}
+			m.advance(100)
+			m.finish(s, 1)
+			if got := fmt.Sprint(m.started); got != "[1 2]" {
+				t.Fatalf("job 2 alone should start at t=100, started %s", got)
+			}
+			m.advance(150)
+			m.finish(s, 2)
+			if got := fmt.Sprint(m.started); got != "[1 2 4]" {
+				t.Fatalf("job 4 should start on the empty machine at t=150, started %s", got)
 			}
 		})
 	}

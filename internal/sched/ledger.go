@@ -56,8 +56,8 @@ type ledgerEntry struct {
 //     the segment that failed it, and the walk only removes capacity;
 //   - the checked queue is a prefix of the current queue (unchanged
 //     queueGen — the owning scheduler bumps it on every removal — plus
-//     the submit-epoch length check, or an element-wise ID comparison
-//     of the walked jobs for contexts without the stamp).
+//     the QueueEpoch length check). A context without the stamp gives no
+//     such proof, so the ledger never commits through it.
 //
 // A pass that starts a job commits nothing: the start bumps the
 // context's run epoch, so the next build re-stamps anyway and the walk
@@ -88,10 +88,8 @@ type resvLedger struct {
 	frees []int
 	// queueGen mirrors the owning scheduler's removal counter.
 	queueGen uint64
-	// subEpoch/subOK record the context's submit stamp at commit, when
-	// it offers one (QueueEpoch).
+	// subEpoch records the context's QueueEpoch stamp at commit.
 	subEpoch uint64
-	subOK    bool
 }
 
 // beginPass resets the ledger for a from-scratch walk. The pass records
@@ -114,45 +112,37 @@ func (l *resvLedger) add(j *core.Job, est int64, start int64) {
 
 // commit persists the post-pass profile and stamps, with queued, the
 // queue length, as the checked frontier. Call only after a pass that
-// started nothing (the caller checks its removal counter).
+// started nothing (the caller checks its removal counter). Through a
+// context without a QueueEpoch stamp it leaves the ledger invalid.
 func (l *resvLedger) commit(ctx Context, p *Profile, queueGen uint64, queued int) {
+	qe, stamped := ctx.(QueueEpoch)
+	if !stamped {
+		l.ok = false
+		return
+	}
 	l.times = append(l.times[:0], p.times...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
 	l.frees = append(l.frees[:0], p.frees...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
 	l.stamp = p.Stamp()
 	l.mut = p.Mutated()
 	l.queueGen = queueGen
 	l.checked = queued
-	if qe, hasEpoch := ctx.(QueueEpoch); hasEpoch {
-		l.subEpoch, l.subOK = qe.SubmitEpoch(), true
-	} else {
-		l.subOK = false
-	}
+	l.subEpoch = qe.SubmitEpoch()
 	l.ok = true
 }
 
 // resumable reports whether the recorded walk is provably a replay
-// prefix of the pass about to run. p must be the profile the caller
-// just built for this pass.
-func (l *resvLedger) resumable(ctx Context, p *Profile, now int64, queue []*core.Job, queueGen uint64) bool {
+// prefix of the pass about to run over queued jobs. p must be the
+// profile the caller just built for this pass.
+func (l *resvLedger) resumable(ctx Context, p *Profile, now int64, queued int, queueGen uint64) bool {
 	if !l.ok || l.stamp != p.Stamp() || p.Mutated() ||
-		l.queueGen != queueGen || now >= l.minStart || len(queue) < l.checked {
+		l.queueGen != queueGen || now >= l.minStart || queued < l.checked {
 		return false
 	}
-	if qe, hasEpoch := ctx.(QueueEpoch); hasEpoch {
-		// Every dispatch appended one job to the tail and the unchanged
-		// queueGen says none were removed, so the prefix is intact iff
-		// deliveries since commit account exactly for the length growth.
-		return l.subOK && qe.SubmitEpoch()-l.subEpoch == uint64(len(queue)-l.checked)
-	}
-	if l.subOK {
-		return false // stamped commit, unstamped context: never mix schemes
-	}
-	for i := range l.entries {
-		if queue[i].ID != l.entries[i].id {
-			return false
-		}
-	}
-	return true
+	// Every dispatch appended one job to the tail and the unchanged
+	// queueGen says none were removed, so the prefix is intact iff
+	// deliveries since commit account exactly for the length growth.
+	qe, stamped := ctx.(QueueEpoch)
+	return stamped && qe.SubmitEpoch()-l.subEpoch == uint64(queued-l.checked)
 }
 
 // restore overwrites p with the committed snapshot, re-anchored at now.
@@ -163,7 +153,6 @@ func (l *resvLedger) restore(p *Profile, now int64) {
 	p.frees = append(p.frees[:0], l.frees...)
 	p.times[0] = now
 	p.mutated = l.mut
-	p.pmValid = false
 }
 
 // verifyResume is the debugchecks dual-run: before a resumed walk, it

@@ -28,12 +28,12 @@ func ledgerResumeScenario(t *testing.T) (*mockContext, *Conservative) {
 	t.Helper()
 	m := newMock(8)
 	c := NewConservative()
-	c.OnSubmit(m, job(1, 0, 6, 100))
+	m.submit(c, job(1, 0, 6, 100))
 	if !m.startedSet()[1] {
 		t.Fatal("scenario: job 1 should start immediately")
 	}
-	c.OnSubmit(m, job(2, 0, 8, 50))
-	c.OnSubmit(m, job(3, 0, 2, 200))
+	m.submit(c, job(2, 0, 8, 50))
+	m.submit(c, job(3, 0, 2, 200))
 	if m.startedSet()[2] || m.startedSet()[3] {
 		t.Fatal("scenario: jobs 2 and 3 should be blocked behind job 1")
 	}
@@ -69,7 +69,7 @@ func TestLedgerCorruptionTripsDualRun(t *testing.T) {
 	// never reached.
 	t.Run("intact", func(t *testing.T) {
 		m, c := ledgerResumeScenario(t)
-		c.OnSubmit(m, job(4, 10, 2, 30))
+		m.submit(c, job(4, 10, 2, 30))
 		if !m.startedSet()[4] || m.startedSet()[3] {
 			t.Fatalf("resume should backfill job 4 and keep job 3 queued, started %v", m.started)
 		}
@@ -78,27 +78,30 @@ func TestLedgerCorruptionTripsDualRun(t *testing.T) {
 	t.Run("corrupt-start", func(t *testing.T) {
 		m, c := ledgerResumeScenario(t)
 		c.ledger.entries[0].start -= 5
-		mustPanic(t, "recorded start", "ledger dual-run", func() { c.OnSubmit(m, job(4, 10, 2, 30)) })
+		mustPanic(t, "recorded start", "ledger dual-run", func() { m.submit(c, job(4, 10, 2, 30)) })
 	})
 
 	t.Run("corrupt-estimate", func(t *testing.T) {
 		m, c := ledgerResumeScenario(t)
 		c.ledger.entries[0].est += 60
-		mustPanic(t, "recorded estimate", "ledger dual-run", func() { c.OnSubmit(m, job(4, 10, 2, 30)) })
+		mustPanic(t, "recorded estimate", "ledger dual-run", func() { m.submit(c, job(4, 10, 2, 30)) })
 	})
 
 	t.Run("corrupt-snapshot", func(t *testing.T) {
 		m, c := ledgerResumeScenario(t)
 		c.ledger.frees[len(c.ledger.frees)-1]--
-		mustPanic(t, "profile snapshot", "ledger dual-run", func() { c.OnSubmit(m, job(4, 10, 2, 30)) })
+		mustPanic(t, "profile snapshot", "ledger dual-run", func() { m.submit(c, job(4, 10, 2, 30)) })
 	})
 
 	// A checked frontier past the queue positions the pass really
-	// tested claims job 4 was cut although it fits now.
+	// tested claims job 4 was cut although it fits now. The submit
+	// stamp moves with it, or the resume check would refuse the ledger
+	// before the dual-run sees it.
 	t.Run("corrupt-checked", func(t *testing.T) {
 		m, c := ledgerResumeScenario(t)
 		c.ledger.checked++
-		mustPanic(t, "checked frontier", "ledger dual-run", func() { c.OnSubmit(m, job(4, 10, 2, 30)) })
+		c.ledger.subEpoch++
+		mustPanic(t, "checked frontier", "ledger dual-run", func() { m.submit(c, job(4, 10, 2, 30)) })
 	})
 }
 

@@ -21,6 +21,9 @@ type mockContext struct {
 	resv    []Window
 	// onStart, when set, runs after every Start.
 	onStart func(j *core.Job)
+	// runEpoch and subEpoch are the RunEpoch and QueueEpoch stamps:
+	// Start and finish advance the first, submit the second.
+	runEpoch, subEpoch uint64
 }
 
 func newMock(total int) *mockContext {
@@ -40,6 +43,7 @@ func (m *mockContext) Start(j *core.Job, size int) {
 		panic(fmt.Sprintf("mock: start job %d size %d with %d free", j.ID, size, m.free))
 	}
 	m.free -= size
+	m.runEpoch++
 	m.running = append(m.running, RunningJob{
 		Job: j, Size: size, Start: m.now, ExpEnd: m.now + j.EstimateOrRuntime(),
 	})
@@ -51,6 +55,9 @@ func (m *mockContext) Start(j *core.Job, size int) {
 }
 
 func (m *mockContext) Running() []RunningJob { return append([]RunningJob(nil), m.running...) }
+
+func (m *mockContext) RunningEpoch() uint64 { return m.runEpoch }
+func (m *mockContext) SubmitEpoch() uint64  { return m.subEpoch }
 
 func (m *mockContext) Estimate(j *core.Job) int64 { return j.EstimateOrRuntime() }
 
@@ -64,11 +71,19 @@ func (m *mockContext) StartShared(j *core.Job, rate float64) {
 
 func (m *mockContext) SetRate(j *core.Job, rate float64) { m.shared[j.ID] = rate }
 
+// submit delivers j to the scheduler, advancing the submit stamp as
+// the simulator does for every OnSubmit it dispatches.
+func (m *mockContext) submit(s Scheduler, j *core.Job) {
+	m.subEpoch++
+	s.OnSubmit(m, j)
+}
+
 // finish completes a running job and notifies the scheduler.
 func (m *mockContext) finish(s Scheduler, id int64) {
 	for i, r := range m.running {
 		if r.Job.ID == id {
 			m.free += r.Size
+			m.runEpoch++
 			m.running = append(m.running[:i], m.running[i+1:]...)
 			s.OnFinish(m, r.Job)
 			return
@@ -84,6 +99,22 @@ func (m *mockContext) advance(t int64) {
 	}
 	m.now = t
 }
+
+// stampless hands its scheduler every callback's context with the
+// RunEpoch, WindowEpoch and QueueEpoch stamps hidden, so nothing keyed
+// by them may be reused: every profile build merges from scratch and
+// the ledger never commits.
+type stampless struct{ Scheduler }
+
+func (s stampless) OnSubmit(ctx Context, j *core.Job) {
+	s.Scheduler.OnSubmit(struct{ Context }{ctx}, j)
+}
+
+func (s stampless) OnFinish(ctx Context, j *core.Job) {
+	s.Scheduler.OnFinish(struct{ Context }{ctx}, j)
+}
+
+func (s stampless) OnChange(ctx Context) { s.Scheduler.OnChange(struct{ Context }{ctx}) }
 
 // job builds a rigid test job.
 func job(id int64, submit int64, size int, runtime int64) *core.Job {

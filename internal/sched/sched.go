@@ -95,9 +95,9 @@ type Context interface {
 // WindowEpoch is optionally implemented by Contexts that can stamp
 // their window sets: the stamp advances whenever Outages() or
 // Reservations() would return different contents, so equal stamps let
-// profile builders reuse window-derived state without re-reading (or
-// re-comparing) the sets. Contexts without it fall back to element-wise
-// comparison.
+// profile builders reuse window-derived state without re-reading the
+// sets. Contexts without it get no such reuse: every windowed profile
+// build re-reads and re-sorts the window sets.
 type WindowEpoch interface {
 	WindowsEpoch() uint64
 }
@@ -105,8 +105,9 @@ type WindowEpoch interface {
 // RunEpoch is the running-set analog of WindowEpoch: the stamp advances
 // whenever Running() would return different contents (a job starts or
 // terminates — the scheduler-visible ExpEnd is fixed at start time), so
-// equal stamps let profile builders skip both the Running() read and the
-// element-wise comparison against their snapshot.
+// equal stamps let profile builders restore their last merge instead of
+// reading Running() and merging again. Contexts without it get no such
+// reuse: every profile build merges from scratch.
 type RunEpoch interface {
 	RunningEpoch() uint64
 }
@@ -120,7 +121,8 @@ type RunEpoch interface {
 // deliveries-since-commit must equal the length growth, provided the
 // scheduler separately knows nothing was removed (it owns removals —
 // they only happen when it starts a job). Contexts without the stamp
-// fall back to an element-wise ID comparison of the walked jobs.
+// get no such proof: the ledger never commits, so no pass resumes a
+// recorded walk.
 type QueueEpoch interface {
 	SubmitEpoch() uint64
 }
@@ -148,7 +150,7 @@ type QueueReporter interface {
 	Queued() []*core.Job
 }
 
-// estimateOf returns the scheduler-visible expected end of a running
+// overdueClamp returns the scheduler-visible expected end of a running
 // job, clamped to be in the future (overdue jobs are treated as
 // releasing one second from now — the standard handling for estimate
 // overruns).
