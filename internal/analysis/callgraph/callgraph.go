@@ -431,7 +431,7 @@ func addEdges(g *Graph, idx methodIndex, lookup func(*types.Func) *Node) {
 			if !ok {
 				return
 			}
-			fn := calleeOf(g.info, call)
+			fn := Callee(g.info, call)
 			if fn == nil {
 				return
 			}
@@ -598,17 +598,29 @@ func constBool(info *types.Info, expr ast.Expr) (value, isConst bool) {
 	return constant.BoolVal(tv.Value), true
 }
 
-// calleeOf resolves the static callee of a call expression: a declared
+// Callee resolves the static callee of a call expression: a declared
 // function, a method (possibly an interface method), or nil for
-// builtins, conversions, and calls through function values.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+// builtins, conversions, and calls through function values. A call to
+// a generic function or to a method of a generic type, implicitly or
+// explicitly (f[T](x)) instantiated, resolves to the declaration, the
+// only form the graph holds.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
 	}
-	return nil
+	var fn *types.Func
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }

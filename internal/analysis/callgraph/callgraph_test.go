@@ -10,9 +10,10 @@ import (
 )
 
 // TestHotpathPropagation pins the reachability contract on the fixture:
-// the hot set crosses static calls, closure bodies, and an interface
-// method dispatch, and stops at constant-false branches, non-matching
-// method sets, and cold callers of hot code.
+// the hot set crosses static calls, closure bodies, an interface method
+// dispatch, and calls through the instantiations of generic functions
+// and of a generic type's method, and stops at constant-false branches,
+// non-matching method sets, and cold callers of hot code.
 func TestHotpathPropagation(t *testing.T) {
 	fl := load.NewFixtureLoader("testdata")
 	p, err := fl.Load("example.com/internal/hotgraph")
@@ -34,6 +35,10 @@ func TestHotpathPropagation(t *testing.T) {
 		"step":        true, // static call from Root
 		"leaf":        true, // static call from the dispatched method
 		"viaClosure":  true, // called from a closure defined in Root
+		"(*box).get":  true, // method of a generic type, via box[int]
+		"ident":       true, // generic, implicitly instantiated
+		"twice":       true, // generic, explicitly instantiated: twice[int]
+		"pick":        true, // generic, two explicit type arguments
 		"(misfit).Do": false,
 		"coldDebug":   false, // behind `if debug` with debug == false
 		"coldOrphan":  false, // calls hot code but nothing hot calls it

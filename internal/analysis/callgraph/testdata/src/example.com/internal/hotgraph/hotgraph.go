@@ -1,8 +1,9 @@
 // Package hotgraph is the reachability fixture: one annotated root
 // whose hot set must include a statically called chain, a closure body,
-// and an interface method resolved by dispatch — and must exclude code
-// behind a constant-false guard, a method with the wrong signature, and
-// a cold caller of hot code.
+// an interface method resolved by dispatch, and generic code reached
+// through its instantiations — and must exclude code behind a
+// constant-false guard, a method with the wrong signature, and a cold
+// caller of hot code.
 package hotgraph
 
 type doer interface{ Do(n int) int }
@@ -30,11 +31,25 @@ func Root(d doer) int {
 	return d.Do(step(1)) + f(2)
 }
 
-func step(n int) int { return n + 1 }
+// step reaches a method of a generic type and an implicitly
+// instantiated generic function.
+func step(n int) int { return (&box[int]{v: n}).get() + ident(1) }
 
-func leaf(n int) int { return 2 * n }
+// leaf reaches generic functions through explicit instantiations with
+// one and with two type arguments.
+func leaf(n int) int { return 2*twice[int](n)[0] + pick[int, string](0, "") }
 
 func viaClosure(n int) int { return n }
+
+type box[T any] struct{ v T }
+
+func (b *box[T]) get() T { return b.v }
+
+func ident[T any](v T) T { return v }
+
+func twice[T any](v T) [2]T { return [2]T{v, v} }
+
+func pick[A, B any](a A, _ B) A { return a }
 
 func coldDebug() {}
 

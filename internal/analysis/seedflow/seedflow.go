@@ -325,7 +325,7 @@ func (fc *funcCtx) eachSink(f *facts, visit func(ast.Expr, sink)) {
 	ast.Inspect(fc.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			callee := calleeOf(info, n)
+			callee := callgraph.Callee(info, n)
 			if callee == nil {
 				return true
 			}
@@ -455,7 +455,7 @@ func (fc *funcCtx) classify(expr ast.Expr, visited map[types.Object]bool) val {
 // global math/rand draws, RepSeed, and draws from an already-seeded
 // generator.
 func classifyCall(info *types.Info, call *ast.CallExpr, fc *funcCtx, visited map[types.Object]bool) val {
-	fn := calleeOf(info, call)
+	fn := callgraph.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return val{}
 	}
@@ -559,18 +559,4 @@ func paramName(fn *types.Func, i int) string {
 		return name
 	}
 	return "#" + string(rune('0'+i))
-}
-
-// calleeOf resolves the static callee, mirroring the callgraph helper
-// (kept local: this package reports on argument positions, not nodes).
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -10,19 +10,25 @@
 // node would have to be restarted, but it has no effect on any other
 // running jobs").
 //
-// Counting and allocation are the per-event hot path of the simulator,
-// so the machine maintains its aggregate state incrementally: cached
-// up/free/in-use counters updated on every node transition, and
-// free-node bitsets bucketed by distinct memory value (ascending), so
-// best-fit allocation walks only the free nodes it will take instead of
-// scanning and sorting the whole machine. The original O(N) scans are
-// kept as scan* functions behind the debugCheck flag, which tests
-// enable to cross-validate every cached figure after every mutation.
+// Counting, allocation and release are the per-event hot path of the
+// simulator, so the machine keeps its state in 64-node words and never
+// touches a node on its own there: free-node bitsets bucketed by
+// distinct memory value (ascending), a down-node bitset, and cached
+// up/free/in-use counters adjusted by popcount. An owner's allocation
+// is a short list of spans, each one memory class's nodes within one
+// word, so claiming or freeing costs O(words spanned + classes), not
+// O(nodes taken). Which owner holds a given node matters only when that
+// node changes state (a node going down kills only the job on it), so
+// that question is answered by scanning the owner table, once per node
+// transition and never per job. The original O(N) scans are kept as
+// scan* functions behind the debugCheck flag, which tests enable to
+// cross-validate every cached figure after every mutation.
 package cluster
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"parsched/internal/debugchecks"
@@ -49,16 +55,11 @@ func EnableDebugChecks(on bool) bool {
 	return prev
 }
 
-// Node is one processor/compute node.
-type Node struct {
-	// Mem is the node's memory in KB (configuration heterogeneity).
-	Mem int64
-	// Down reports the node is unavailable (outage).
-	Down bool
-	// Owner is the job (or reservation) occupying the node, NoOwner if
-	// free.
-	Owner int64
-}
+// bit is node i's bit within its 64-node word, i>>6.
+func bit(i int) uint64 { return 1 << (uint(i) & 63) }
+
+// has reports whether node i is set in a node bitset.
+func has(set []uint64, i int) bool { return set[i>>6]&bit(i) != 0 }
 
 // memClass is the free list for one distinct memory value: a bitset of
 // free node indices (free = up and unowned) plus its population count.
@@ -68,32 +69,41 @@ type memClass struct {
 	count int
 }
 
-func (c *memClass) set(i int)   { c.free[i>>6] |= 1 << (uint(i) & 63) }
-func (c *memClass) clear(i int) { c.free[i>>6] &^= 1 << (uint(i) & 63) }
-func (c *memClass) has(i int) bool {
-	return c.free[i>>6]&(1<<(uint(i)&63)) != 0
+// span is one piece of an owner's allocation: the nodes of one memory
+// class within one 64-node word.
+type span struct {
+	class, word int32
+	mask        uint64
 }
 
 // Machine is a space-sliced parallel computer.
 type Machine struct {
-	nodes  []Node
-	owners map[int64][]int // owner -> node indices
+	// owners maps each owner to its allocation, in the order allocate
+	// took it: classes ascending, words ascending within a class.
+	owners map[int64][]span
+	// down has bit i set iff node i is down. A down node may still be
+	// in its owner's spans until the owner is released (the simulator
+	// kills the job) or the node comes back up.
+	down []uint64
 
 	// Cached aggregates, maintained on every state transition.
 	up    int // nodes not down
 	inUse int // up nodes with an owner
 	nFree int // up nodes without an owner
 
-	// classes are the per-memory-value free lists, ascending by Mem.
-	// classOf maps a node index to its (immutable) class index.
+	// classes are the per-memory-value free lists, ascending by mem.
+	// classOf maps a node index to its (immutable) class index; a
+	// node's memory is its class's.
 	classes []memClass
 	classOf []int
 
-	// listPool recycles owner node lists released via ReleaseQuiet, so
-	// the allocate/release cycle of a long replay stops allocating a
-	// fresh list per job start. Lists handed out by Release (ownership
-	// transfer to the caller) are never pooled.
-	listPool [][]int
+	// spanPool recycles the span lists of released owners, so the
+	// allocate/release cycle of a long replay stops allocating a fresh
+	// list per job start.
+	spanPool [][]span
+	// scratch holds the owned-node bitset the reference scans rebuild,
+	// allocated once so that debug checks allocate nothing.
+	scratch []uint64
 }
 
 // New creates a homogeneous machine of n nodes with memPerNode KB each.
@@ -114,24 +124,25 @@ func New(n int, memPerNode int64) *Machine {
 //schedlint:coldpath once-per-run constructor
 func NewHeterogeneous(memPerNode []int64) *Machine {
 	n := len(memPerNode)
+	words := (n + 63) / 64
+	bitsets := make([]uint64, 2*words) // down and scratch, in one allocation
 	m := &Machine{
-		nodes:   make([]Node, n),
-		owners:  map[int64][]int{},
+		owners:  map[int64][]span{},
+		down:    bitsets[:words:words],
 		classOf: make([]int, n),
+		scratch: bitsets[words:],
 	}
 	distinct := append([]int64(nil), memPerNode...)
 	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
 	distinct = dedupe(distinct)
-	words := (n + 63) / 64
 	m.classes = make([]memClass, len(distinct))
 	for ci, mem := range distinct {
 		m.classes[ci] = memClass{mem: mem, free: make([]uint64, words)}
 	}
 	for i, mem := range memPerNode {
-		m.nodes[i] = Node{Mem: mem}
 		ci := sort.Search(len(distinct), func(k int) bool { return distinct[k] >= mem })
 		m.classOf[i] = ci
-		m.classes[ci].set(i)
+		m.classes[ci].free[i>>6] |= bit(i)
 		m.classes[ci].count++
 	}
 	m.up = n
@@ -149,23 +160,6 @@ func dedupe(sorted []int64) []int64 {
 	return out
 }
 
-// markFree records that node i just became free (up and unowned).
-func (m *Machine) markFree(i int) {
-	c := &m.classes[m.classOf[i]]
-	c.set(i)
-	c.count++
-	m.nFree++
-}
-
-// markBusy records that node i just stopped being free (allocated or
-// went down).
-func (m *Machine) markBusy(i int) {
-	c := &m.classes[m.classOf[i]]
-	c.clear(i)
-	c.count--
-	m.nFree--
-}
-
 // firstClass returns the index of the smallest memory class satisfying
 // minMem.
 func (m *Machine) firstClass(minMem int64) int {
@@ -179,7 +173,7 @@ func (m *Machine) firstClass(minMem int64) int {
 }
 
 // Total returns the number of nodes, up or down.
-func (m *Machine) Total() int { return len(m.nodes) }
+func (m *Machine) Total() int { return len(m.classOf) }
 
 // Up returns the number of functional (not down) nodes.
 func (m *Machine) Up() int {
@@ -219,35 +213,32 @@ func (m *Machine) CanAllocate(count int, minMem int64) bool {
 }
 
 // Allocate assigns count free nodes with at least minMem memory to
-// owner and returns their indices. Nodes with the smallest adequate
-// memory are chosen first, preserving large-memory nodes for jobs that
-// need them (best fit); ties break toward lower node indices. It
-// returns false, and allocates nothing, if the request cannot be
+// owner and returns their indices, ascending. Nodes with the smallest
+// adequate memory are chosen first, preserving large-memory nodes for
+// jobs that need them (best fit); ties break toward lower node indices.
+// It returns false, and allocates nothing, if the request cannot be
 // satisfied. Owner must be nonzero and must not already hold an
 // allocation.
 //
 //schedlint:hotpath entry point: allocation kernel, also driven directly by tests and meta
 func (m *Machine) Allocate(owner int64, count int, minMem int64) ([]int, bool) {
-	chosen, ok := m.allocate(owner, count, minMem)
+	spans, ok := m.allocate(owner, count, minMem)
 	if !ok {
 		return nil, false
 	}
-	// Return a copy: the stored list must not alias caller-visible
-	// memory (SetUp edits it in place).
-	return append([]int(nil), chosen...), true
+	return nodeList(spans), true
 }
 
 // Claim is Allocate for callers that do not need the node list (the
 // simulator's job starts, which only track the owner): same selection,
-// same bookkeeping, no defensive copy.
+// same bookkeeping, no list.
 func (m *Machine) Claim(owner int64, count int, minMem int64) bool {
 	_, ok := m.allocate(owner, count, minMem)
 	return ok
 }
 
-// allocate performs the allocation and returns the stored (internal)
-// node list.
-func (m *Machine) allocate(owner int64, count int, minMem int64) ([]int, bool) {
+// allocate performs the allocation and returns the stored span list.
+func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) {
 	if owner == NoOwner {
 		panic("cluster: allocation with zero owner")
 	}
@@ -262,17 +253,20 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]int, bool) {
 	}
 	// Walk the free lists from the smallest adequate class upward,
 	// taking lowest-index nodes first within each class — the same
-	// (Mem, index) order the original scan-and-sort produced. The node
-	// list comes from the ReleaseQuiet pool when one is available;
-	// allocation only happens while the pool warms up (or when a pooled
-	// list's capacity is outgrown by a larger job).
-	var chosen []int
-	if n := len(m.listPool); n > 0 {
-		chosen = m.listPool[n-1][:0]
-		m.listPool[n-1] = nil
-		m.listPool = m.listPool[:n-1]
+	// (Mem, index) order the original scan-and-sort produced — a whole
+	// word, or its lowest set bits, per step. The span list comes from
+	// the ReleaseQuiet pool when one is available; allocation only
+	// happens while the pool warms up (or when a pooled list's capacity
+	// is outgrown by a more fragmented allocation). A fresh list has
+	// room for eight spans, as many as a one-class allocation on a
+	// 512-node machine can take.
+	var spans []span
+	if n := len(m.spanPool); n > 0 {
+		spans = m.spanPool[n-1][:0]
+		m.spanPool[n-1] = nil
+		m.spanPool = m.spanPool[:n-1]
 	} else {
-		chosen = make([]int, 0, count) //schedlint:allow allocfree pool warm-up: the list is recycled through listPool once the job releases quietly
+		spans = make([]span, 0, 8) //schedlint:allow allocfree pool warm-up: the list is recycled through spanPool once its owner is released
 	}
 	need := count
 	for ci := m.firstClass(minMem); ci < len(m.classes) && need > 0; ci++ {
@@ -286,22 +280,14 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]int, bool) {
 			if w == 0 {
 				continue
 			}
-			// Claim the chosen bits of this word in one masked update —
-			// ownership and free-list bookkeeping fused into the selection
-			// walk, instead of a second per-node pass over chosen.
-			var mask uint64
-			for w != 0 && need > 0 {
-				b := bits.TrailingZeros64(w)
-				bit := uint64(1) << uint(b)
-				w &^= bit
-				mask |= bit
-				i := wi<<6 | b
-				chosen = append(chosen, i) //schedlint:allow allocfree appends into pooled (or count-capacity) backing; at most count elements, so no growth after pool warm-up
-				m.nodes[i].Owner = owner
-				taken++
-				need--
+			k := bits.OnesCount64(w)
+			if k > need {
+				w, k = lowestBits(w, need), need
 			}
-			c.free[wi] &^= mask
+			c.free[wi] &^= w
+			spans = append(spans, span{class: int32(ci), word: int32(wi), mask: w}) //schedlint:allow allocfree appends into a pooled span list; it grows only until the pool holds lists as long as the most fragmented allocation
+			taken += k
+			need -= k
 		}
 		c.count -= taken
 		m.nFree -= taken
@@ -310,129 +296,186 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]int, bool) {
 		panic("cluster: free-list count disagrees with free-list contents")
 	}
 	m.inUse += count
-	// The class walk emits ascending indices per class, so a
-	// single-class pick (the homogeneous machine, or any allocation
-	// served from one class) is already sorted.
-	if !sort.IntsAreSorted(chosen) {
-		sort.Ints(chosen)
-	}
-	m.owners[owner] = chosen
+	m.owners[owner] = spans
 	m.check()
-	return chosen, true
+	return spans, true
 }
 
-// Release frees all nodes held by owner and returns them. Releasing an
-// unknown owner returns nil. Ownership of the returned slice transfers
-// to the caller; use ReleaseQuiet when the list is not needed, so the
-// machine can recycle it.
-func (m *Machine) Release(owner int64) []int {
-	nodes, ok := m.releaseNodes(owner)
-	if !ok {
-		return nil
+// lowestBits returns the lowest n set bits of w, which has more than n.
+func lowestBits(w uint64, n int) uint64 {
+	var out uint64
+	for ; n > 0; n-- {
+		low := w & -w
+		out |= low
+		w ^= low
 	}
+	return out
+}
+
+// nodeList expands an allocation into its node indices, ascending, with
+// one allocation.
+func nodeList(spans []span) []int {
+	n := 0
+	for _, s := range spans {
+		n += bits.OnesCount64(s.mask)
+	}
+	//schedlint:allow escape the list is the caller's to keep; the simulator claims and releases through Claim and ReleaseQuiet, which build none
+	out := make([]int, 0, n) //schedlint:allow allocfree the list is the caller's to keep; the simulator claims and releases through Claim and ReleaseQuiet, which build none
+	for _, s := range spans {
+		for w := s.mask; w != 0; w &= w - 1 {
+			out = append(out, int(s.word)<<6|bits.TrailingZeros64(w))
+		}
+	}
+	// Spans run class by class, so only an allocation served from
+	// several classes can come out unsorted.
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// Release frees all nodes held by owner and returns them, ascending.
+// Releasing an unknown owner returns nil. Use ReleaseQuiet when the list
+// is not needed.
+func (m *Machine) Release(owner int64) []int {
+	nodes := m.NodesOf(owner)
+	m.ReleaseQuiet(owner)
 	return nodes
 }
 
 // ReleaseQuiet is Release for callers that ignore the node list (the
 // simulator's job terminations, which only track owners): same
-// bookkeeping, but the internal list is recycled into the allocation
-// pool instead of escaping. It reports whether the owner held anything.
+// bookkeeping, no list, and the owner's span list is recycled into the
+// allocation pool. It reports whether the owner held anything.
 //
 //schedlint:hotpath every job termination and reservation expiry funnels through here
 func (m *Machine) ReleaseQuiet(owner int64) bool {
-	nodes, ok := m.releaseNodes(owner)
+	spans, ok := m.owners[owner]
 	if !ok {
 		return false
 	}
-	m.listPool = append(m.listPool, nodes) //schedlint:allow allocfree pool spine: amortized doubling of the recycled-list stack, bounded by peak concurrent owners
+	// Each span's nodes go back to its class's free list, minus those
+	// that are down: they were already counted out of inUse when they
+	// went down, and become free only when they come back up.
+	for _, s := range spans {
+		freed := s.mask &^ m.down[s.word]
+		m.classes[s.class].free[s.word] |= freed
+		k := bits.OnesCount64(freed)
+		m.classes[s.class].count += k
+		m.nFree += k
+		m.inUse -= k
+	}
+	delete(m.owners, owner)
+	m.spanPool = append(m.spanPool, spans) //schedlint:allow allocfree pool spine: amortized doubling of the recycled-list stack, bounded by peak concurrent owners
+	m.check()
 	return true
 }
 
-// releaseNodes frees all nodes held by owner and returns the stored
-// (internal) node list.
-func (m *Machine) releaseNodes(owner int64) ([]int, bool) {
-	nodes, ok := m.owners[owner]
+// NodesOf returns the nodes held by owner, ascending (nil if none).
+func (m *Machine) NodesOf(owner int64) []int {
+	spans, ok := m.owners[owner]
 	if !ok {
-		return nil, false
+		return nil
 	}
-	for _, i := range nodes {
-		if m.nodes[i].Owner == owner {
-			m.nodes[i].Owner = NoOwner
-			if !m.nodes[i].Down {
-				m.inUse--
-				m.markFree(i)
+	return nodeList(spans)
+}
+
+// holder finds the owner whose allocation includes node i and the index
+// of the span holding it; NoOwner if the node is unowned. It scans the
+// owner table: at most one owner holds a node, so the map's iteration
+// order cannot change the answer.
+func (m *Machine) holder(i int) (int64, int) {
+	word, b := int32(i>>6), bit(i)
+	for o, spans := range m.owners {
+		for k, s := range spans {
+			if s.word == word && s.mask&b != 0 {
+				return o, k
 			}
 		}
 	}
-	delete(m.owners, owner)
-	m.check()
-	return nodes, true
-}
-
-// NodesOf returns the nodes held by owner (nil if none).
-func (m *Machine) NodesOf(owner int64) []int {
-	return append([]int(nil), m.owners[owner]...)
+	return NoOwner, -1
 }
 
 // OwnerOf returns the owner of node i (NoOwner if free).
-func (m *Machine) OwnerOf(i int) int64 { return m.nodes[i].Owner }
+func (m *Machine) OwnerOf(i int) int64 {
+	_ = m.classOf[i] // bounds check: a node outside the machine panics
+	o, _ := m.holder(i)
+	return o
+}
 
 // MemOf returns the memory of node i.
-func (m *Machine) MemOf(i int) int64 { return m.nodes[i].Mem }
+func (m *Machine) MemOf(i int) int64 { return m.classes[m.classOf[i]].mem }
 
 // SetDown marks node i down and returns the owner that was evicted
 // (NoOwner if the node was free). The owner's other nodes remain
 // allocated; the caller (the simulator) decides whether to kill the
 // job and release the rest.
 func (m *Machine) SetDown(i int) int64 {
-	nd := &m.nodes[i]
-	if nd.Down {
+	// classOf also bounds-checks i: a node past the machine's end must
+	// panic, not land in the last word's spare bits.
+	c := &m.classes[m.classOf[i]]
+	w, b := i>>6, bit(i)
+	if m.down[w]&b != 0 {
 		return NoOwner
 	}
-	nd.Down = true
+	m.down[w] |= b
 	m.up--
-	if nd.Owner != NoOwner {
-		m.inUse--
-	} else {
-		m.markBusy(i)
+	if c.free[w]&b != 0 {
+		c.free[w] &^= b
+		c.count--
+		m.nFree--
+		m.check()
+		return NoOwner
 	}
+	// Up and not free: the node is owned.
+	m.inUse--
 	m.check()
-	return nd.Owner
+	o, _ := m.holder(i)
+	return o
 }
 
 // SetUp marks node i functional again. Any stale ownership is cleared
 // (the job was killed when the node went down).
 func (m *Machine) SetUp(i int) {
-	nd := &m.nodes[i]
-	wasDown := nd.Down
-	nd.Down = false
+	c := &m.classes[m.classOf[i]] // also bounds-checks i, as in SetDown
+	w, b := i>>6, bit(i)
+	wasDown := m.down[w]&b != 0
+	if !wasDown && c.free[w]&b != 0 {
+		m.check()
+		return
+	}
 	if wasDown {
+		m.down[w] &^= b
 		m.up++
 	}
-	if nd.Owner != NoOwner {
-		// Remove the node from the stale owner's list if still present.
-		owner := nd.Owner
-		nodes := m.owners[owner]
-		kept := make([]int, 0, len(nodes)) //schedlint:allow allocfree node-recovery path, runs once per repaired node, bounded by the outage schedule
-		for _, v := range nodes {
-			if v != i {
-				kept = append(kept, v)
-			}
-		}
-		m.owners[owner] = kept
-		if len(m.owners[owner]) == 0 {
-			delete(m.owners, owner)
-		}
-		nd.Owner = NoOwner
+	if o, k := m.holder(i); o != NoOwner {
+		m.dropNode(o, k, b)
 		if !wasDown {
 			// The node was up and allocated; it is now up and free.
 			m.inUse--
 		}
-		m.markFree(i)
-	} else if wasDown {
-		m.markFree(i)
 	}
+	c.free[w] |= b
+	c.count++
+	m.nFree++
 	m.check()
+}
+
+// dropNode removes node bit b from span k of owner o, deleting the span
+// and then the owner once they hold nothing.
+func (m *Machine) dropNode(o int64, k int, b uint64) {
+	spans := m.owners[o]
+	spans[k].mask &^= b
+	if spans[k].mask != 0 {
+		return
+	}
+	spans = slices.Delete(spans, k, k+1)
+	if len(spans) > 0 {
+		m.owners[o] = spans
+		return
+	}
+	delete(m.owners, o)
+	m.spanPool = append(m.spanPool, spans) //schedlint:allow allocfree pool spine: amortized doubling of the recycled-list stack, bounded by peak concurrent owners
 }
 
 // Owners returns the active owners, ascending.
@@ -446,15 +489,29 @@ func (m *Machine) Owners() []int64 {
 }
 
 // ---------------------------------------------------------------------
-// Reference scans: the original O(N) implementations, retained to
-// cross-validate the cached counters (check, Validate, and the
-// equivalence property tests).
+// Reference scans: node-by-node recomputations from the state's source
+// of truth (the down bitset and the owner table), retained to
+// cross-validate the cached counters and free lists (check, Validate,
+// and the equivalence property tests).
+
+// ownedBits rebuilds the owned-node bitset from the owner table into
+// the machine's scratch buffer.
+func (m *Machine) ownedBits() []uint64 {
+	owned := m.scratch
+	clear(owned)
+	for _, spans := range m.owners {
+		for _, s := range spans {
+			owned[s.word] |= s.mask
+		}
+	}
+	return owned
+}
 
 // scanUp recomputes Up from scratch.
 func (m *Machine) scanUp() int {
 	n := 0
-	for i := range m.nodes {
-		if !m.nodes[i].Down {
+	for i := range m.classOf {
+		if !has(m.down, i) {
 			n++
 		}
 	}
@@ -463,10 +520,10 @@ func (m *Machine) scanUp() int {
 
 // scanFreeWithMem recomputes FreeWithMem from scratch.
 func (m *Machine) scanFreeWithMem(minMem int64) int {
+	owned := m.ownedBits()
 	n := 0
-	for i := range m.nodes {
-		nd := &m.nodes[i]
-		if !nd.Down && nd.Owner == NoOwner && nd.Mem >= minMem {
+	for i := range m.classOf {
+		if !has(m.down, i) && !has(owned, i) && m.MemOf(i) >= minMem {
 			n++
 		}
 	}
@@ -475,9 +532,10 @@ func (m *Machine) scanFreeWithMem(minMem int64) int {
 
 // scanInUse recomputes InUse from scratch.
 func (m *Machine) scanInUse() int {
+	owned := m.ownedBits()
 	n := 0
-	for i := range m.nodes {
-		if !m.nodes[i].Down && m.nodes[i].Owner != NoOwner {
+	for i := range m.classOf {
+		if !has(m.down, i) && has(owned, i) {
 			n++
 		}
 	}
@@ -487,10 +545,10 @@ func (m *Machine) scanInUse() int {
 // scanBestFit recomputes the allocation the original scan-and-sort
 // implementation would choose (nil if infeasible), without mutating.
 func (m *Machine) scanBestFit(count int, minMem int64) []int {
+	owned := m.ownedBits()
 	var candidates []int
-	for i := range m.nodes {
-		nd := &m.nodes[i]
-		if !nd.Down && nd.Owner == NoOwner && nd.Mem >= minMem {
+	for i := range m.classOf {
+		if !has(m.down, i) && !has(owned, i) && m.MemOf(i) >= minMem {
 			candidates = append(candidates, i)
 		}
 	}
@@ -498,8 +556,8 @@ func (m *Machine) scanBestFit(count int, minMem int64) []int {
 		return nil
 	}
 	sort.Slice(candidates, func(a, b int) bool {
-		if m.nodes[candidates[a]].Mem != m.nodes[candidates[b]].Mem {
-			return m.nodes[candidates[a]].Mem < m.nodes[candidates[b]].Mem
+		if m.MemOf(candidates[a]) != m.MemOf(candidates[b]) {
+			return m.MemOf(candidates[a]) < m.MemOf(candidates[b])
 		}
 		return candidates[a] < candidates[b]
 	})
@@ -521,8 +579,8 @@ func (m *Machine) check() {
 }
 
 // validateCached compares every cached aggregate — counters, per-class
-// free-list populations, per-node free bits, class membership — against
-// a from-scratch recomputation. Shared by check and Validate.
+// free-list populations, per-node free bits — against a from-scratch
+// recomputation. Shared by check and Validate.
 func (m *Machine) validateCached() error {
 	if got := m.scanUp(); got != m.up {
 		return fmt.Errorf("cached up=%d, scan=%d", m.up, got) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
@@ -533,6 +591,7 @@ func (m *Machine) validateCached() error {
 	if got := m.scanFreeWithMem(0); got != m.nFree {
 		return fmt.Errorf("cached free=%d, scan=%d", m.nFree, got) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
 	}
+	total := 0
 	for ci := range m.classes {
 		c := &m.classes[ci]
 		pop := 0
@@ -542,46 +601,50 @@ func (m *Machine) validateCached() error {
 		if pop != c.count {
 			return fmt.Errorf("class %d (mem %d) count=%d, popcount=%d", ci, c.mem, c.count, pop) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
 		}
+		total += pop
 	}
-	for i := range m.nodes {
-		nd := &m.nodes[i]
-		free := !nd.Down && nd.Owner == NoOwner
-		if got := m.classes[m.classOf[i]].has(i); got != free {
+	// With every free node's bit set in its own class (below), bits
+	// totalling exactly the free count leave no stray bit in another
+	// class or past the machine's last node.
+	if total != m.nFree {
+		return fmt.Errorf("class free lists hold %d nodes, cached free=%d", total, m.nFree) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+	}
+	owned := m.ownedBits()
+	for i, ci := range m.classOf {
+		free := !has(m.down, i) && !has(owned, i)
+		if got := has(m.classes[ci].free, i); got != free {
 			return fmt.Errorf("node %d free-bit=%v, state free=%v", i, got, free) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
-		}
-		if m.classes[m.classOf[i]].mem != nd.Mem {
-			return fmt.Errorf("node %d in class with mem %d, node mem %d", //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
-				i, m.classes[m.classOf[i]].mem, nd.Mem)
 		}
 	}
 	return nil
 }
 
-// Validate checks internal consistency (every owned node appears in its
-// owner's list and vice versa, cached counters match a from-scratch
+// Validate checks internal consistency (every owner holds at least one
+// node, no node has two owners, every span lies inside the machine and
+// its memory class, cached counters match a from-scratch
 // recomputation). It is used by property tests.
 func (m *Machine) Validate() error {
-	for i := range m.nodes {
-		if o := m.nodes[i].Owner; o != NoOwner {
-			found := false
-			for _, v := range m.owners[o] {
-				if v == i {
-					found = true
-					break
+	seen := make([]uint64, len(m.down))
+	for o, spans := range m.owners {
+		if len(spans) == 0 {
+			return fmt.Errorf("owner %d has an empty allocation", o)
+		}
+		for _, s := range spans {
+			if s.mask == 0 {
+				return fmt.Errorf("owner %d has an empty span in word %d", o, s.word)
+			}
+			if shared := seen[s.word] & s.mask; shared != 0 {
+				return fmt.Errorf("owner %d holds node %d, which another owner holds", o, int(s.word)<<6|bits.TrailingZeros64(shared))
+			}
+			seen[s.word] |= s.mask
+			for w := s.mask; w != 0; w &= w - 1 {
+				i := int(s.word)<<6 | bits.TrailingZeros64(w)
+				if i >= m.Total() {
+					return fmt.Errorf("owner %d holds node %d of a %d-node machine", o, i, m.Total())
 				}
-			}
-			if !found && !m.nodes[i].Down {
-				return fmt.Errorf("node %d owned by %d but missing from owner list", i, o)
-			}
-		}
-	}
-	for o, nodes := range m.owners {
-		if len(nodes) == 0 {
-			return fmt.Errorf("owner %d has empty node list", o)
-		}
-		for _, i := range nodes {
-			if m.nodes[i].Owner != o {
-				return fmt.Errorf("owner %d lists node %d owned by %d", o, i, m.nodes[i].Owner)
+				if m.classOf[i] != int(s.class) {
+					return fmt.Errorf("owner %d holds node %d of class %d in a span of class %d", o, i, m.classOf[i], s.class)
+				}
 			}
 		}
 	}

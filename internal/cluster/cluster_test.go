@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,92 +184,117 @@ func TestNodesOfReturnsCopy(t *testing.T) {
 // and asserts after every step that the cached counters and
 // per-memory-class free lists equal a from-scratch recomputation, and
 // that Allocate picks exactly the nodes the original scan-and-sort
-// implementation would have picked. debugCheck additionally
-// cross-validates inside every mutation.
+// implementation would have picked. Every machine size ends in a
+// partial 64-node word, and the larger ones take allocations across
+// several words. A node that goes down may stay with its owner, and
+// come back up before the owner is released: what the simulator does
+// when one batch of outage events both fails and repairs a node, ahead
+// of killing the victim. debugCheck additionally cross-validates
+// inside every mutation.
 func TestCountersMatchScansProperty(t *testing.T) {
 	defer EnableDebugChecks(EnableDebugChecks(true))
-	f := func(seed int64) bool {
-		rng := stats.NewRNG(seed)
-		mems := make([]int64, 48)
-		for i := range mems {
-			mems[i] = int64(1024 << rng.Intn(4)) // four memory classes
-		}
-		m := NewHeterogeneous(mems)
-		// live is an ordered list so owner selection below is a pure
-		// function of the seed (map iteration would not replay).
-		var live []int64
-		drop := func(o int64) {
-			for k, v := range live {
-				if v == o {
-					live = append(live[:k], live[k+1:]...)
-					return
+	for _, nodes := range []int{48, 130, 200} {
+		f := func(seed int64) bool {
+			rng := stats.NewRNG(seed)
+			mems := make([]int64, nodes)
+			classes := 1 + rng.Intn(4) // one class: the homogeneous machine
+			for i := range mems {
+				mems[i] = int64(1024 << rng.Intn(classes))
+			}
+			m := NewHeterogeneous(mems)
+			// live is an ordered list so owner selection below is a pure
+			// function of the seed (map iteration would not replay).
+			var live []int64
+			drop := func(o int64) {
+				for k, v := range live {
+					if v == o {
+						live = append(live[:k], live[k+1:]...)
+						return
+					}
 				}
 			}
-		}
-		next := int64(1)
-		for step := 0; step < 400; step++ {
-			switch rng.Intn(5) {
-			case 0, 1: // allocate with a random memory floor
-				count := 1 + rng.Intn(10)
-				minMem := int64(1024 << rng.Intn(5))
-				if rng.Intn(3) == 0 {
-					minMem = 0
-				}
-				want := m.scanBestFit(count, minMem)
-				got, ok := m.Allocate(next, count, minMem)
-				if (want == nil) == ok {
-					t.Logf("step %d: feasibility diverged (scan %v, got %v)", step, want, ok)
-					return false
-				}
-				if ok {
-					if len(got) != len(want) {
-						t.Logf("step %d: chose %v, scan chose %v", step, got, want)
+			// held lists down nodes whose owner was not released when they
+			// went down.
+			var held []int
+			next := int64(1)
+			for step := 0; step < 400; step++ {
+				switch rng.Intn(6) {
+				case 0, 1: // allocate with a random memory floor
+					count := 1 + rng.Intn(nodes/3)
+					minMem := int64(1024 << rng.Intn(5))
+					if rng.Intn(3) == 0 {
+						minMem = 0
+					}
+					want := m.scanBestFit(count, minMem)
+					got, ok := m.Allocate(next, count, minMem)
+					if (want == nil) == ok {
+						t.Logf("step %d: feasibility diverged (scan %v, got %v)", step, want, ok)
 						return false
 					}
-					for k := range got {
-						if got[k] != want[k] {
+					if ok {
+						if !slices.Equal(got, want) {
 							t.Logf("step %d: chose %v, scan chose %v", step, got, want)
 							return false
 						}
+						live = append(live, next)
 					}
-					live = append(live, next)
+					next++
+				case 2: // release a random live owner
+					if len(live) > 0 {
+						k := rng.Intn(len(live))
+						want := m.NodesOf(live[k])
+						if got := m.Release(live[k]); !slices.Equal(got, want) {
+							t.Logf("step %d: released %v, owner held %v", step, got, want)
+							return false
+						}
+						live = append(live[:k], live[k+1:]...)
+					}
+				case 3: // take a node down; kill and release the victim, or not yet
+					n := rng.Intn(nodes)
+					if evicted := m.SetDown(n); evicted != NoOwner {
+						if rng.Intn(2) == 0 {
+							m.Release(evicted)
+							drop(evicted)
+						} else {
+							held = append(held, n)
+						}
+					}
+				case 4: // bring a random node up (may already be up)
+					m.SetUp(rng.Intn(nodes))
+				case 5: // bring a held node up before its owner is released
+					if len(held) > 0 {
+						k := rng.Intn(len(held))
+						n := held[k]
+						held = append(held[:k], held[k+1:]...)
+						o := m.OwnerOf(n)
+						m.SetUp(n)
+						if m.OwnerOf(n) != NoOwner || slices.Contains(m.NodesOf(o), n) {
+							t.Logf("step %d: node %d still held by %d after SetUp", step, n, o)
+							return false
+						}
+					}
 				}
-				next++
-			case 2: // release a random live owner
-				if len(live) > 0 {
-					k := rng.Intn(len(live))
-					m.Release(live[k])
-					live = append(live[:k], live[k+1:]...)
-				}
-			case 3: // take a node down (kill + release the victim)
-				n := rng.Intn(len(mems))
-				if evicted := m.SetDown(n); evicted != NoOwner {
-					m.Release(evicted)
-					drop(evicted)
-				}
-			case 4: // bring a random node up (may already be up)
-				m.SetUp(rng.Intn(len(mems)))
-			}
-			if err := m.Validate(); err != nil {
-				t.Logf("step %d: %v", step, err)
-				return false
-			}
-			if m.Up() != m.scanUp() || m.InUse() != m.scanInUse() ||
-				m.Free() != m.scanFreeWithMem(0) {
-				t.Logf("step %d: counters diverged from scans", step)
-				return false
-			}
-			for _, minMem := range []int64{0, 1024, 2048, 4096, 8192, 1 << 20} {
-				if m.FreeWithMem(minMem) != m.scanFreeWithMem(minMem) {
-					t.Logf("step %d: FreeWithMem(%d) diverged", step, minMem)
+				if err := m.Validate(); err != nil {
+					t.Logf("step %d: %v", step, err)
 					return false
 				}
+				if m.Up() != m.scanUp() || m.InUse() != m.scanInUse() ||
+					m.Free() != m.scanFreeWithMem(0) {
+					t.Logf("step %d: counters diverged from scans", step)
+					return false
+				}
+				for _, minMem := range []int64{0, 1024, 2048, 4096, 8192, 1 << 20} {
+					if m.FreeWithMem(minMem) != m.scanFreeWithMem(minMem) {
+						t.Logf("step %d: FreeWithMem(%d) diverged", step, minMem)
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
 	}
 }
 

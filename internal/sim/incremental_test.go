@@ -73,7 +73,9 @@ func TestRunningSortedAcrossOutageKills(t *testing.T) {
 	for _, j := range w.Clone().Jobs {
 		sm.SubmitAt(j, j.Submit)
 	}
-	scheduleOutages(engine, sm, log)
+	if err := scheduleOutages(engine, sm, log); err != nil {
+		t.Fatal(err)
+	}
 	kills := 0
 	for engine.Step() {
 		checkRunningOrder(t, sm)

@@ -50,7 +50,9 @@ func (sm *Instance) replay(js core.JobStream) (*Result, error) {
 	// Outage events: announcements make windows visible; node
 	// transitions batched by timestamp change the machine.
 	if sm.opts.Outages != nil {
-		scheduleOutages(engine, sm, sm.opts.Outages)
+		if err := scheduleOutages(engine, sm, sm.opts.Outages); err != nil {
+			return nil, err
+		}
 	}
 	// Reservation events: become visible at announcement, claim
 	// processors at start, release at end.
@@ -263,7 +265,21 @@ func scheduleSampling(engine *des.Engine, sm *Instance, opts Options) {
 
 // scheduleOutages wires an outage log into an instance: announcement
 // events (scheduler visibility) plus batched node up/down transitions.
-func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) {
+// Before scheduling anything it rejects a record that names a node
+// outside the machine, or that ends before it starts: its up event
+// would come first and free a node under the job running there.
+func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) error {
+	nodes := int64(sm.machine.Total())
+	for _, rec := range log.Records {
+		if rec.End < rec.Start {
+			return fmt.Errorf("sim: outage %d ends at %d, before its start at %d", rec.ID, rec.End, rec.Start) //schedlint:allow allocfree error path: a malformed outage log aborts the replay before its first event
+		}
+		for _, n := range rec.Nodes {
+			if n < 0 || n >= nodes {
+				return fmt.Errorf("sim: outage %d names node %d, outside the machine's %d nodes", rec.ID, n, nodes) //schedlint:allow allocfree error path: a malformed outage log aborts the replay before its first event
+			}
+		}
+	}
 	for _, rec := range log.Records {
 		rec := rec
 		announced := rec.Announced
@@ -290,9 +306,11 @@ func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) {
 				ups = append(ups, int(ev.Node)) //schedlint:allow allocfree setup: outage batches wired once per run, before the event loop
 			}
 		}
-		if t := evs[i].Time; t >= 0 {
-			engine.At(t, des.PriorityOutage, func() { sm.applyNodeEvents(downs, ups) })
-		}
+		// A batch from before the log starts applies at time 0, ahead of
+		// the first arrival. Dropping it would drop an outage's down but
+		// keep its up, which frees a node under the job running there.
+		engine.At(max(evs[i].Time, 0), des.PriorityOutage, func() { sm.applyNodeEvents(downs, ups) })
 		i = k
 	}
+	return nil
 }

@@ -40,6 +40,9 @@ type Options struct {
 	// predecessor terminates, rather than at its recorded submit time.
 	Feedback bool
 	// Outages injects the outage log (same time base as the workload).
+	// A replay fails, before its first event, on a record that names a
+	// node outside the machine or ends before it starts. An outage that
+	// began before the log takes its nodes down at time 0.
 	Outages *outage.Log
 	// Reservations injects advance-reservation requests.
 	Reservations []sched.Reservation
