@@ -344,9 +344,43 @@ func (w *Workload) Users() []int64 {
 	return out
 }
 
+// MaxTime bounds every time a simulation reads from a job, in seconds:
+// its submit time, runtime and estimate, and under feedback its think
+// time. 2^40 s is about 34,800 years, far above any archived log, and
+// far below the 2^60 s horizon the backfilling schedulers' availability
+// profiles treat as never, so no time the simulator derives from
+// bounded fields (an end time, a reservation) can overflow or reach
+// that horizon.
+const MaxTime = int64(1) << 40
+
+// CheckTimes reports a submit time, runtime or estimate of j beyond
+// MaxTime as an error naming the job and the field. Negative values are
+// the callers' to judge: a negative estimate means none was given.
+func (j *Job) CheckTimes() error {
+	if j.Submit <= MaxTime && j.Runtime <= MaxTime && j.Estimate <= MaxTime {
+		return nil
+	}
+	return j.timeError()
+}
+
+// timeError names the first of j's time fields beyond MaxTime.
+//
+//schedlint:coldpath error path: a job beyond the time bound aborts the run
+func (j *Job) timeError() error {
+	field, v := "estimate", j.Estimate
+	if j.Runtime > MaxTime {
+		field, v = "runtime", j.Runtime
+	}
+	if j.Submit > MaxTime {
+		field, v = "submit time", j.Submit
+	}
+	return fmt.Errorf("job %d: %s %d s exceeds the %d s bound", j.ID, field, v, MaxTime)
+}
+
 // Validate checks operational invariants the simulator depends on:
 // sorted submit times, positive sizes within the machine, non-negative
-// runtimes, strictly-earlier feedback references.
+// runtimes, time fields within MaxTime, strictly-earlier feedback
+// references.
 func (w *Workload) Validate() error {
 	var prev int64
 	for i, j := range w.Jobs {
@@ -365,6 +399,9 @@ func (w *Workload) Validate() error {
 		}
 		if j.Runtime < 0 {
 			return fmt.Errorf("job %d: negative runtime", j.ID)
+		}
+		if err := j.CheckTimes(); err != nil {
+			return err
 		}
 		if j.PrecedingJob != 0 && (j.PrecedingJob < 0 || j.PrecedingJob >= j.ID) {
 			return fmt.Errorf("job %d: preceding job %d not earlier", j.ID, j.PrecedingJob)

@@ -340,21 +340,21 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 		j := e.queue[i]
 		est := e.estq[i]
 		if i < e.Reserve {
-			start := p.EarliestFit(now, est, j.Size)
-			if start == now && ctx.CanStart(j, j.Size) {
+			h := p.scan(now, est, j.Size)
+			if h.start == now && ctx.CanStart(j, j.Size) {
 				ctx.Start(j, j.Size)
-				p.TakeStarted(ctx, now, now+est, j.Size)
+				p.takeStartedHole(ctx, h, est, j.Size)
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				e.estq = append(e.estq[:i], e.estq[i+1:]...)
 				e.queueGen++
 				last--
 				continue
 			}
-			if start >= 0 {
+			if h.start >= 0 {
 				// Protect this job: backfill below must fit around it.
-				p.Take(start, start+est, j.Size)
+				p.takeHole(h, est, j.Size)
 			}
-			e.ledger.add(j, est, start)
+			e.ledger.add(j, est, h.start)
 			i++
 			continue
 		}
@@ -557,27 +557,28 @@ func (c *Conservative) schedule(ctx Context) {
 		}
 		j := c.queue[qi]
 		est := c.estq[qi]
-		start := p.EarliestFit(now, est, j.Size)
-		if start == now && ctx.CanStart(j, j.Size) {
+		h := p.scan(now, est, j.Size)
+		if h.start == now && ctx.CanStart(j, j.Size) {
 			ctx.Start(j, j.Size)
 			// Its processors are busy until its expected end; reflect
 			// that for the jobs behind it.
-			p.TakeStarted(ctx, now, now+est, j.Size)
+			p.takeStartedHole(ctx, h, est, j.Size)
 			c.queueGen++
 			continue
 		}
-		if start < 0 {
+		if h.start < 0 {
 			// Larger than the (possibly degraded) machine: hold it.
 			kept = append(kept, j)
 			keptEst = append(keptEst, est)
-			c.ledger.add(j, est, start)
+			c.ledger.add(j, est, h.start)
 			continue
 		}
-		// Reserve: later jobs must not delay this one.
-		p.Take(start, start+est, j.Size)
+		// Reserve: later jobs must not delay this one. The carve works
+		// over the segments the scan just verified.
+		p.takeHole(h, est, j.Size)
 		kept = append(kept, j)
 		keptEst = append(keptEst, est)
-		c.ledger.add(j, est, start)
+		c.ledger.add(j, est, h.start)
 	}
 	// The cut tail stays queued in order, unreserved and unrecorded.
 	c.queue = append(kept, c.queue[qi:]...)

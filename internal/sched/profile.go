@@ -102,8 +102,8 @@ func (p *Profile) clone() *Profile {
 
 // segmentAt returns the index of the segment containing t (t must be >=
 // p.times[0]): the last i with times[i] <= t. Hand-rolled binary search
-// — this sits under every split/FreeAt/EarliestFit on the per-event
-// path, where sort.Search's closure calls are measurable.
+// — this sits under every Take/FreeAt/FitsAt and fit scan on the
+// per-event path, where sort.Search's closure calls are measurable.
 func (p *Profile) segmentAt(t int64) int {
 	// Most queries anchor at the profile start (canStartNow, backfill
 	// Take at now): answer those without the search.
@@ -125,40 +125,64 @@ func (p *Profile) segmentAt(t int64) int {
 	return lo - 1
 }
 
-// split ensures a breakpoint exists at t and returns its index.
-func (p *Profile) split(t int64) int {
-	i := p.segmentAt(t)
-	if p.times[i] == t {
-		return i
-	}
-	// Insert after i.
+// insert adds a breakpoint at t as index i (0 < i <= len(times), and
+// times[i-1] < t < times[i]); the new segment starts with the free
+// count of the segment it splits.
+func (p *Profile) insert(i int, t int64) {
 	p.times = append(p.times, 0)
 	p.frees = append(p.frees, 0)
-	copy(p.times[i+2:], p.times[i+1:])
-	copy(p.frees[i+2:], p.frees[i+1:])
-	p.times[i+1] = t
-	p.frees[i+1] = p.frees[i]
-	return i + 1
+	copy(p.times[i+1:], p.times[i:])
+	copy(p.frees[i+1:], p.frees[i:])
+	p.times[i] = t
+	p.frees[i] = p.frees[i-1]
+}
+
+// carve subtracts procs free processors over [h.start, end), where h.si
+// is the segment holding h.start and h.ei the last segment the window
+// covers (times[h.ei] < end, and end <= times[h.ei+1] unless h.ei is the
+// tail). It inserts the two breakpoints the window needs at indices it
+// already knows, end first so the start's insertion shifts the range
+// once, and subtracts over the range: no search at all.
+func (p *Profile) carve(h hole, end int64, procs int) {
+	si, ei := h.si, h.ei
+	if ei+1 == len(p.times) || p.times[ei+1] != end {
+		p.insert(ei+1, end)
+	}
+	if p.times[si] != h.start {
+		p.insert(si+1, h.start)
+		si, ei = si+1, ei+1
+	}
+	for i := si; i <= ei; i++ {
+		p.frees[i] -= procs
+	}
 }
 
 // Take subtracts procs free processors over [start, end). Negative free
-// values are allowed transiently (they simply mean "no hole here").
+// values are allowed transiently (they simply mean "no hole here"). It
+// looks up the segments holding start and end-1 and hands them to
+// takeHole, the carve a reservation walk runs over the hole its fit
+// scan verified, so both leave element-identical profiles. An empty
+// window (end <= start, or ending by the profile start) or procs == 0
+// writes nothing and leaves Mutated() as it was.
 func (p *Profile) Take(start, end int64, procs int) {
-	if end <= start || procs == 0 {
+	start = max(start, p.times[0])
+	if end <= start {
 		return
 	}
-	if start < p.times[0] {
-		start = p.times[0]
-	}
-	if end <= p.times[0] {
+	p.takeHole(hole{start: start, si: p.segmentAt(start), ei: p.segmentAt(end - 1)}, end-start, procs)
+}
+
+// takeHole is Take(h.start, h.start+dur, procs) for a hole a fit scan
+// for at least dur seconds returned: the scan already verified the
+// segments the window covers, so the carve runs without a lookup. Like
+// Take, it carves nothing for dur <= 0 (an estimate-zero job scans as a
+// one-second window) or procs == 0.
+func (p *Profile) takeHole(h hole, dur int64, procs int) {
+	if dur <= 0 || procs == 0 {
 		return
 	}
 	p.mutated = true
-	si := p.split(start)
-	ei := p.split(end)
-	for i := si; i < ei; i++ {
-		p.frees[i] -= procs
-	}
+	p.carve(h, h.start+dur, procs)
 }
 
 // TakeStarted is Take for a job the scheduler has just started via
@@ -169,10 +193,10 @@ func (p *Profile) Take(start, end int64, procs int) {
 //
 // Absorption is exact: the merge emits one breakpoint per distinct
 // delta time unconditionally (it never coalesces equal-frees entries),
-// and split() inserts at most one breakpoint at the job's end if none
-// exists, so the absorbed arrays are element-identical to what a
-// from-scratch merge over the grown running set would produce — the
-// property the debugchecks dual-run and the resume ledger compare
+// and the carve inserts at most one breakpoint, at the job's end, if
+// none exists there, so the absorbed arrays are element-identical to
+// what a from-scratch merge over the grown running set would produce —
+// the property the debugchecks dual-run and the resume ledger compare
 // element-wise. The machine's free count dropped by exactly procs (the
 // start claimed that many nodes) and the context's run epoch already
 // advanced (ctx.Start inserted the running record), so the snapshot
@@ -185,17 +209,24 @@ func (p *Profile) Take(start, end int64, procs int) {
 // (an estimate-zero job still joins the running set, which absorption
 // cannot express).
 func (p *Profile) TakeStarted(ctx Context, start, end int64, procs int) {
-	re, hasEpoch := ctx.(RunEpoch)
-	if !hasEpoch || p.mutated || len(p.baseT) == 0 ||
-		procs <= 0 || end <= start || start != p.times[0] {
+	if start != p.times[0] || end <= start {
 		p.Take(start, end, procs)
 		return
 	}
-	si := p.split(start)
-	ei := p.split(end)
-	for i := si; i < ei; i++ {
-		p.frees[i] -= procs
+	p.takeStartedHole(ctx, hole{start: start, ei: p.segmentAt(end - 1)}, end-start, procs)
+}
+
+// takeStartedHole is TakeStarted(ctx, h.start, h.start+dur, procs) for a
+// hole a fit scan for at least dur seconds returned, carving over the
+// segments the scan verified (see takeHole).
+func (p *Profile) takeStartedHole(ctx Context, h hole, dur int64, procs int) {
+	re, hasEpoch := ctx.(RunEpoch)
+	if !hasEpoch || p.mutated || len(p.baseT) == 0 ||
+		procs <= 0 || dur <= 0 || h.start != p.times[0] {
+		p.takeHole(h, dur, procs)
+		return
 	}
+	p.carve(h, h.start+dur, procs)
 	p.baseT = append(p.baseT[:0], p.times...)
 	p.baseF = append(p.baseF[:0], p.frees...)
 	p.baseFree -= procs
@@ -210,7 +241,11 @@ func (p *Profile) Release(from int64, procs int) {
 	if from < p.times[0] {
 		from = p.times[0]
 	}
-	i := p.split(from)
+	i := p.segmentAt(from)
+	if p.times[i] != from {
+		i++
+		p.insert(i, from)
+	}
 	for k := i; k < len(p.frees); k++ {
 		p.frees[k] += procs
 	}
@@ -224,46 +259,83 @@ func (p *Profile) FreeAt(t int64) int {
 	return p.frees[p.segmentAt(t)]
 }
 
+// A hole is a fit scan's answer: start, the earliest time at which the
+// request fits (-1 if none), and the range of segments the scan
+// verified — si holds start, ei is the last segment the window covers —
+// so a carve over the hole (takeHole, takeStartedHole) inserts its
+// breakpoints without searching for them.
+type hole struct {
+	start  int64
+	si, ei int
+}
+
 // EarliestFit returns the earliest time >= after at which procs
-// processors are continuously free for dur seconds.
-//
-// Single forward sweep over the segments: the candidate start is
-// `after` until a too-full segment is met, then the breakpoint just
-// past it — the optimal start is always one of those, so one O(n) scan
-// replaces the old try-every-breakpoint O(n²) search with identical
-// results. It returns -1 only if the request exceeds the machine (the
-// infinite tail segment cannot fit it).
+// processors are continuously free for dur seconds (at least one), or
+// -1 if the request exceeds the machine (the infinite tail segment
+// cannot fit it). It is the start-only view of the fit scan the
+// reservation walks run (scan), so EASY's shadow time, advance
+// reservation admission and co-allocation all search the same way.
 func (p *Profile) EarliestFit(after int64, dur int64, procs int) int64 {
-	if after < p.times[0] {
-		after = p.times[0]
-	}
-	if dur < 1 {
-		dur = 1
-	}
-	n := len(p.times)
-	start := after
-	for i := p.segmentAt(start); i < n; i++ {
-		if p.frees[i] < procs {
-			if i+1 >= n {
-				return -1 // the window would run into a too-full tail
-			}
-			start = p.times[i+1]
-			continue
+	return p.scan(after, dur, procs).start
+}
+
+// scan is the fit kernel: a single forward sweep over the segments
+// from the one holding after. The candidate window is [after,
+// after+dur) until a too-full segment is met, then the one starting at
+// the breakpoint just past it; the optimal start is always one of
+// those, so one O(n) sweep finds it. The sweep carries the window's end
+// rather than its start, so each step is one sign test that ends the
+// sweep when the segment has room and reaches the end —
+// (free−procs) | (next−end) >= 0 — plus a conditional move that slides
+// the window past a too-full segment: no branch depends on which kind
+// of segment comes next, and a profile alternating between them costs
+// no mispredictions. A window reaching the last segment fits iff the
+// tail has room. The hole's si is found by stepping back from the
+// window's last segment to the one holding its start.
+//
+// With durations bounded far below the 2^60 s horizon, next−end cannot
+// overflow.
+func (p *Profile) scan(after, dur int64, procs int) hole {
+	after = max(after, p.times[0])
+	dur = max(dur, 1)
+	i := p.segmentAt(after)
+	end := after + dur
+	// Step k tests segment i+k: its end is nexts[k] (times[i+k+1]), its
+	// free count fs[k]; fs runs one further, to the tail. Working only
+	// on these two slices keeps the loop's operands in registers and
+	// lets the compiler drop its bounds checks.
+	nexts := p.times[i+1:]
+	fs := p.frees[i : i+len(nexts)+1]
+	body := fs[:len(nexts)]
+	k := 0
+	for ; k < len(nexts); k++ {
+		next, f := nexts[k], body[k]-procs
+		if int64(f)|(next-end) >= 0 {
+			break
 		}
-		if i+1 >= n || p.times[i+1] >= start+dur {
-			// Free through the end of the window (the last segment
-			// extends forever).
-			return start
+		if f < 0 {
+			end = next + dur
 		}
 	}
-	return -1
+	if fs[k] < procs {
+		return hole{start: -1} // only the tail can end the sweep too full
+	}
+	// Step back from the window's last segment to the one holding its
+	// start (times[i] <= after <= start stops it).
+	start := end - dur
+	m := k
+	for m > 0 && nexts[m-1] > start {
+		m--
+	}
+	return hole{start: start, si: i + m, ei: i + k}
 }
 
 // FitsAt reports whether procs processors are continuously free for
-// dur seconds starting exactly at start — the EarliestFit(start, ...)
-// == start question answered without the full scan: a too-full segment
-// fails immediately instead of sending EarliestFit hunting through the
-// rest of the profile for a later hole nobody will use.
+// dur seconds (at least one) starting exactly at start — the
+// EarliestFit(start, ...) == start question answered without the full
+// scan: a too-full segment fails immediately instead of sending the
+// scan hunting through the rest of the profile for a later hole nobody
+// will use.
 func (p *Profile) FitsAt(start, dur int64, procs int) bool {
 	if start < p.times[0] {
 		start = p.times[0]
@@ -299,7 +371,7 @@ func BuildProfile(ctx Context) *Profile {
 // releases (Running() is ordered by expected end, and overdueClamp is
 // monotone, so their breakpoints arrive pre-sorted) and outage/
 // reservation window edges (batch-sorted into scratch). Appending
-// cumulative breakpoints replaces the old per-window split() inserts,
+// cumulative breakpoints replaces the old per-window breakpoint inserts,
 // whose memmoves dominated windows-on runs; the resulting times/frees
 // arrays are element-identical to what the Release/Take sequence
 // produced.
@@ -310,14 +382,14 @@ func BuildProfileInto(p *Profile, ctx Context) *Profile {
 // BuildRunningProfileInto builds the windowless profile — current free
 // capacity plus running-job releases only — through the same sorted-
 // merge kernel and snapshot machinery as BuildProfileInto. It replaces
-// the classic per-running-job Release loop, whose split() memmoves made
+// the classic per-running-job Release loop, whose insert memmoves made
 // windowless builds quadratic in the running-set size, and gives the
 // windowless schedulers the build stamps and cache-hit restores the
 // windowed arm already had. The output is element-identical to the
 // Release sequence: Running() is ExpEnd-ordered and overdueClamp is
 // monotone, so the cumulative release breakpoints arrive pre-sorted
 // with strictly increasing times and the merge appends exactly the
-// breakpoints Release would have split in one by one.
+// breakpoints Release would have inserted one by one.
 func BuildRunningProfileInto(p *Profile, ctx Context) *Profile {
 	return buildProfile(p, ctx, false)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,37 +81,156 @@ func TestProfileNegativeTransient(t *testing.T) {
 	}
 }
 
+// earliestFitBranchy is the fit scan the branch-free kernel replaced,
+// kept as the reference TestProfileFitProperty holds scan to: a
+// too-full segment moves the candidate start to the breakpoint past it,
+// and a segment with room that reaches the window's end returns it.
+func earliestFitBranchy(p *Profile, after, dur int64, procs int) int64 {
+	if after < p.times[0] {
+		after = p.times[0]
+	}
+	if dur < 1 {
+		dur = 1
+	}
+	n := len(p.times)
+	start := after
+	for i := p.segmentAt(start); i < n; i++ {
+		if p.frees[i] < procs {
+			if i+1 >= n {
+				return -1 // the window would run into a too-full tail
+			}
+			start = p.times[i+1]
+			continue
+		}
+		if i+1 >= n || p.times[i+1] >= start+dur {
+			return start
+		}
+	}
+	return -1
+}
+
 func TestProfileFitProperty(t *testing.T) {
-	// Property: the returned start really is feasible, and no earlier
-	// breakpoint start is.
+	// Property, over shallow and deep random profiles with negative
+	// frees: scan returns the branchy reference's start; that start is
+	// feasible and neither an earlier grid start nor an earlier
+	// breakpoint is; and carving the scan's hole leaves the profile
+	// element-identical to EarliestFit + Take, Mutated() included, with
+	// the free count lowered by procs exactly inside the window.
+	maxSwitches := 0
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
-		p := NewProfile(0, 64)
-		for i := 0; i < 10; i++ {
-			s := int64(rng.Intn(1000))
-			e := s + 1 + int64(rng.Intn(500))
+		origin := int64(rng.Intn(100))
+		p := NewProfile(origin, 64)
+		takes := 10
+		if rng.Intn(2) == 0 {
+			takes = 60 + rng.Intn(60) // deep: dozens of free/too-full switches
+		}
+		for i := 0; i < takes; i++ {
+			// Some windows start before the profile (Take clamps them);
+			// overlapping ones drive frees negative.
+			s := origin - 50 + int64(rng.Intn(3000))
+			e := s + 1 + int64(rng.Intn(200))
 			p.Take(s, e, 1+rng.Intn(40))
 		}
-		dur := int64(1 + rng.Intn(300))
-		procs := 1 + rng.Intn(64)
-		start := p.EarliestFit(0, dur, procs)
-		if start < 0 {
-			return procs > 64
+		n := len(p.times)
+		var after int64
+		switch k := rng.Intn(n); rng.Intn(5) {
+		case 0: // before the profile
+			after = origin - 1 - int64(rng.Intn(50))
+		case 1: // on a breakpoint
+			after = p.times[k]
+		case 2: // inside a segment (the tail's, for the last one)
+			after = p.times[k] + 1 + int64(rng.Intn(20))
+			if k+1 < n {
+				after = (p.times[k] + p.times[k+1]) / 2
+			}
+		case 3: // just past the profile start, inside its first segment
+			after = origin + 1
+		default:
+			after = origin + int64(rng.Intn(3500))
 		}
-		// Feasibility at the returned start.
-		if !p.fits(start, start+dur, procs) {
+		var dur int64
+		switch rng.Intn(5) {
+		case 0: // scans as one second, carves nothing
+			dur = -int64(rng.Intn(3))
+		case 1: // a window from one breakpoint ends exactly on another
+			k1 := rng.Intn(n)
+			k2 := k1 + rng.Intn(n-k1)
+			dur = p.times[k2] - p.times[k1]
+		case 2: // reaches the tail
+			dur = 3000 + int64(rng.Intn(3000))
+		default:
+			dur = 1 + int64(rng.Intn(300))
+		}
+		procs := rng.Intn(66) // 0 carves nothing; 65 exceeds the tail
+
+		h := p.scan(after, dur, procs)
+		want := earliestFitBranchy(p, after, dur, procs)
+		if h.start != want || p.EarliestFit(after, dur, procs) != want {
+			t.Logf("seed %d: scan(%d, %d, %d) = %d, branchy reference %d", seed, after, dur, procs, h.start, want)
 			return false
 		}
-		// No earlier feasible candidate (check a grid).
-		for s := int64(0); s < start; s += 7 {
-			if p.fits(s, s+dur, procs) {
+		lo, d := max(after, p.times[0]), max(dur, 1)
+		last := n - 1
+		if want >= 0 {
+			last = h.ei
+		}
+		switches := 0
+		for i := p.segmentAt(lo); i < last; i++ {
+			if (p.frees[i] < procs) != (p.frees[i+1] < procs) {
+				switches++
+			}
+		}
+		maxSwitches = max(maxSwitches, switches)
+		if want < 0 {
+			return procs > p.frees[n-1]
+		}
+		if !p.fits(want, want+d, procs) {
+			return false
+		}
+		for s := lo; s < want; s += 7 {
+			if p.fits(s, s+d, procs) {
 				return false
 			}
 		}
+		for _, s := range p.times {
+			if s >= lo && s < want && p.fits(s, s+d, procs) {
+				return false
+			}
+		}
+		fused, ref := p.clone(), p.clone()
+		fused.takeHole(h, dur, procs)
+		ref.Take(want, want+dur, procs)
+		// Take and takeHole share the carve, so check it pointwise too:
+		// breakpoints stay strictly increasing, and the free count drops
+		// by procs exactly inside the window.
+		for i := 1; i < len(fused.times); i++ {
+			if fused.times[i] <= fused.times[i-1] {
+				return false
+			}
+		}
+		for s := p.times[0]; s < p.times[n-1]+dur+50; s += 3 {
+			carved := 0
+			if s >= want && s < want+dur {
+				carved = procs
+			}
+			if fused.FreeAt(s) != p.FreeAt(s)-carved {
+				return false
+			}
+		}
+		if !slices.Equal(fused.times, ref.times) || !slices.Equal(fused.frees, ref.frees) ||
+			fused.Mutated() != ref.Mutated() {
+			t.Logf("seed %d: carve over scan(%d, %d, %d) = %+v left %v %v (mutated %v), Take left %v %v (mutated %v)",
+				seed, after, dur, procs, h, fused.times, fused.frees, fused.Mutated(), ref.times, ref.frees, ref.Mutated())
+			return false
+		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+	if maxSwitches < 24 {
+		t.Fatalf("deepest scan crossed %d free/too-full switches, want dozens", maxSwitches)
 	}
 }
 

@@ -121,6 +121,9 @@ func (p *arrivalPump) pull() (*core.Job, error) {
 		if j.Runtime < 0 {
 			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
 		}
+		if err := j.CheckTimes(); err != nil {
+			return nil, fmt.Errorf("sim: stream %w", err) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+		}
 		p.prevSubmit = j.Submit
 		if p.sm.opts.Feedback && j.PrecedingJob > 0 {
 			continue

@@ -159,6 +159,9 @@ func Run(w *core.Workload, s sched.Scheduler, opts Options) (*Result, error) {
 		// dependent; the pump then skips dependents.
 		for _, j := range w.Jobs {
 			if j.PrecedingJob > 0 {
+				if j.ThinkTime < 0 || j.ThinkTime > core.MaxTime {
+					return nil, fmt.Errorf("sim: invalid workload: job %d: think time %d s outside [0, %d]", j.ID, j.ThinkTime, core.MaxTime)
+				}
 				sm.AwaitPredecessor(j)
 			}
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"parsched/internal/core"
@@ -273,6 +275,23 @@ func TestFeedbackClosedLoop(t *testing.T) {
 	}
 	if o2.Wait() != 0 {
 		t.Fatalf("wait measured from effective submit: %d", o2.Wait())
+	}
+}
+
+func TestFeedbackThinkTimeOutOfRangeIsAnError(t *testing.T) {
+	// A think time past the time bound overflows the dependent's submit
+	// time, and a negative one puts it before its predecessor's end:
+	// either scheduled the submittal in the past. Without feedback the
+	// field is never read.
+	for _, think := range []int64{9223372036854775000, -5} {
+		w := wl(8, [3]int64{0, 8, 100}, [3]int64{10, 8, 100})
+		w.Jobs[1].PrecedingJob = 1
+		w.Jobs[1].ThinkTime = think
+		_, err := Run(w, sched.NewFCFS(), Options{Feedback: true})
+		if want := fmt.Sprintf("job 2: think time %d s outside", think); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("think time %d: err = %v, want one containing %q", think, err, want)
+		}
+		mustRun(t, w, sched.NewFCFS(), Options{})
 	}
 }
 

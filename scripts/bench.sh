@@ -2,12 +2,12 @@
 # scripts/bench.sh — run the benchmark suite and emit a machine-readable
 # perf snapshot so the performance trajectory across PRs has a baseline.
 #
-# Usage: scripts/bench.sh [out.json]        (default out: BENCH_PR23.json)
+# Usage: scripts/bench.sh [out.json]        (default out: BENCH_PR24.json)
 #   BENCH=regex    benchmarks to run        (default: .)
 #   COUNT=n        -count samples per bench (default: 5)
 #   BENCHTIME=d    -benchtime, e.g. 1x      (default: go's 1s)
 #   SEED_FROM=f    snapshot whose "current" seeds a fresh baseline
-#                  (default: BENCH_PR22.json)
+#                  (default: BENCH_PR23.json)
 #
 # Output format (documented in README "Performance"):
 #   {
@@ -27,8 +27,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR23.json}"
-SEED_FROM="${SEED_FROM:-BENCH_PR22.json}"
+OUT="${1:-BENCH_PR24.json}"
+SEED_FROM="${SEED_FROM:-BENCH_PR23.json}"
 BENCH="${BENCH:-.}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-}"

@@ -2,7 +2,7 @@
 # scripts/bench_check.sh — guard against performance regressions.
 #
 # Reruns a benchmark subset and compares each result against the
-# "current" section of a committed perf snapshot (BENCH_PR23.json by
+# "current" section of a committed perf snapshot (BENCH_PR24.json by
 # default). Fails if any shared benchmark regresses by more than
 # THRESHOLD percent in ns/op, allocates more per op than the snapshot
 # plus ALLOC_SLACK, or allocates more than 5% more bytes per op than
@@ -36,7 +36,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SNAP="${1:-BENCH_PR23.json}"
+SNAP="${1:-BENCH_PR24.json}"
 BENCH="${BENCH:-BenchmarkAblation|BenchmarkLargeConservativeCongested$|BenchmarkStreamReplay100k$}"
 COUNT="${COUNT:-3}"
 THRESHOLD="${THRESHOLD:-20}"
