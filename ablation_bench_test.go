@@ -118,7 +118,7 @@ func benchCongestedCons(b *testing.B, disableLedger bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &sched.Conservative{DisableLedger: disableLedger}
+		s := &sched.EASY{Reserve: sched.ReserveAll, DisableLedger: disableLedger}
 		res, err := sim.Run(w, s, sim.Options{Horizon: congestedAblationHorizon})
 		if err != nil {
 			b.Fatal(err)

@@ -353,6 +353,31 @@ func (w *Workload) Users() []int64 {
 // that horizon.
 const MaxTime = int64(1) << 40
 
+// MaxMachine bounds the machine a simulation builds, in nodes. The
+// simulator sizes the machine and its event queue up front, about 76 B
+// per node, and a log's MaxNodes header sizes the machine, so a corrupt
+// header of 10^11 nodes would ask for terabytes. 2^22 nodes (about
+// 320 MB) is far above any archived machine.
+const MaxMachine = 1 << 22
+
+// CheckMachine reports a machine size outside [0, MaxMachine] nodes as
+// an error naming the size. Callers run it before they size anything.
+func CheckMachine(nodes int) error {
+	if nodes >= 0 && nodes <= MaxMachine {
+		return nil
+	}
+	return machineError(nodes)
+}
+
+// machineError names a machine size beyond the bound. It stays out of
+// line, so CheckMachine inlines into the replay set-up as a compare.
+//
+//schedlint:coldpath error path: a machine beyond the bound aborts the run before it starts
+//go:noinline
+func machineError(nodes int) error {
+	return fmt.Errorf("machine of %d nodes outside [0, %d]", nodes, MaxMachine)
+}
+
 // CheckTimes reports a submit time, runtime or estimate of j beyond
 // MaxTime as an error naming the job and the field. Negative values are
 // the callers' to judge: a negative estimate means none was given.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"parsched/internal/core"
 	"parsched/internal/debugchecks"
@@ -15,7 +16,7 @@ func init() {
 			{Name: "window", Kind: BoolParam,
 				Doc: "respect announced outages and accepted advance reservations"},
 			{Name: "reserve", Kind: IntParam, Default: "1",
-				Doc: "reservation depth: blocked queue-head jobs guaranteed not to be delayed (1 = classic EASY; large = conservative)"},
+				Doc: "reservation depth: blocked queue-head jobs guaranteed not to be delayed (1 = classic EASY; a depth covering the whole queue is conservative backfilling, which cons builds)"},
 		},
 		Aliases: map[string]string{
 			"easy+win":  "easy(window)",
@@ -31,14 +32,14 @@ func init() {
 	})
 	Register(Family{
 		Name: "cons",
-		Doc:  "conservative backfilling (every queued job gets a reservation)",
+		Doc:  "conservative backfilling (every queued job gets a reservation): easy at a reservation depth covering the whole queue",
 		Params: []Param{
 			{Name: "window", Kind: BoolParam,
 				Doc: "respect announced outages and accepted advance reservations"},
 		},
 		Aliases: map[string]string{"cons+win": "cons(window)"},
 		New: func(a Args) (Scheduler, error) {
-			return &Conservative{Windows: a.Bool("window")}, nil
+			return &EASY{Windows: a.Bool("window"), Reserve: ReserveAll}, nil
 		},
 	})
 }
@@ -62,12 +63,13 @@ type EASY struct {
 	Windows bool
 	// Reserve is the reservation depth: how many blocked jobs at the
 	// head of the queue are guaranteed not to be delayed by backfill.
-	// 0 or 1 is classic EASY (only the head is protected); a depth of
-	// the whole queue reproduces conservative backfilling. Built from
-	// specs like "easy(reserve=2)".
+	// 0 or 1 is classic EASY (only the head is protected); ReserveAll
+	// covers the whole queue, which is conservative backfilling. Built
+	// from specs like "easy(reserve=2)" and, at ReserveAll, "cons".
+	// Every depth above 1 runs one walk (see walk).
 	Reserve int
 	// DisableLedger turns off the resumable-pass reservation ledger the
-	// deep-reserve walk keeps (Reserve > 1) and the walk cut (lastFit),
+	// reservation walk keeps (Reserve > 1) and the walk cut (lastFit),
 	// forcing every pass to walk every queued job and re-derive every
 	// reservation from scratch. Decisions are identical either way — the
 	// ledger resumes the exact deterministic walk, and the cut skips only
@@ -86,7 +88,7 @@ type EASY struct {
 	// estq, whose fronts phase 1 pops; pushBack reuses that space.
 	queueBuf []*core.Job
 	estqBuf  []int64
-	// ledger records the deep-reserve walk for resumption; queueGen
+	// ledger records the reservation walk for resumption; queueGen
 	// counts queue removals (starts), the ledger's proof that the queue
 	// it walked is still a prefix of the one it sees.
 	ledger   resvLedger
@@ -125,12 +127,29 @@ func NewEASY() *EASY { return &EASY{} }
 // accepted advance reservations.
 func NewEASYWindows() *EASY { return &EASY{Windows: true} }
 
-// Name implements Scheduler. Legacy configurations keep their legacy
-// names; parameterized ones name themselves by their canonical spec.
+// ReserveAll is the reservation depth that covers the whole queue:
+// EASY at this depth is conservative backfilling, where every queued job
+// gets a reservation and a job may backfill only if it delays no
+// earlier one.
+const ReserveAll = math.MaxInt
+
+// NewConservative returns conservative backfilling.
+func NewConservative() *EASY { return &EASY{Reserve: ReserveAll} }
+
+// NewConservativeWindows returns the outage/reservation-aware variant.
+func NewConservativeWindows() *EASY { return &EASY{Windows: true, Reserve: ReserveAll} }
+
+// Name implements Scheduler. Legacy configurations, conservative
+// backfilling among them, keep their legacy names; parameterized ones
+// name themselves by their canonical spec.
 //
 //schedlint:coldpath reporting: result labeling, once per run
 func (e *EASY) Name() string {
 	switch {
+	case e.Reserve == ReserveAll && e.Windows:
+		return "cons+win"
+	case e.Reserve == ReserveAll:
+		return "cons"
 	case e.Reserve > 1 && e.Windows:
 		return fmt.Sprintf("easy(reserve=%d, window)", e.Reserve)
 	case e.Reserve > 1:
@@ -203,6 +222,10 @@ func (e *EASY) schedule(ctx Context) {
 	// with Take so it stays current without rebuilding (rebuilding per
 	// candidate makes window-heavy runs quadratic).
 	p := e.profile(ctx)
+	if e.Reserve > 1 {
+		e.walk(ctx, p, now)
+		return
+	}
 
 	// Phase 1: start jobs FCFS from the head while they fit.
 	for len(e.queue) > 0 {
@@ -218,10 +241,6 @@ func (e *EASY) schedule(ctx Context) {
 		e.queueGen++
 	}
 	if len(e.queue) <= 1 {
-		return
-	}
-	if e.Reserve > 1 {
-		e.scheduleDeep(ctx, p, now)
 		return
 	}
 
@@ -286,30 +305,40 @@ func (e *EASY) schedule(ctx Context) {
 	// hardens against the end-of-pass state (Take never adds capacity,
 	// CanStart's free count only falls within a pass, and both FitsAt
 	// and the shadow gates are monotone false-ward as now advances over
-	// a fixed stamp). Only reservation carves — which scheduleDeep does,
-	// this path never — leave the profile genuinely mutated.
+	// a fixed stamp). Only reservation carves — which walk does, this
+	// path never — leave the profile genuinely mutated.
 	if e.sweepOK = !p.Mutated(); e.sweepOK {
 		e.sweepStamp = p.Stamp()
 		e.sweepLen = len(e.queue)
 	}
 }
 
-// scheduleDeep is the Reserve > 1 backfill pass: the first Reserve
-// waiting jobs are walked conservative-style — started when their
-// earliest fit is now, otherwise their future slot is carved into the
-// profile as a reservation — and jobs beyond the depth may start only
-// where they fit under the profile immediately, so no protected job is
-// ever delayed. Depth 1 degenerates to classic EASY (handled by the
-// shadow-time path above); depth >= queue length is conservative
-// backfilling.
+// walk is the Reserve > 1 pass. It walks the queue in arrival order
+// over the availability profile. A job within the reservation depth
+// starts if its earliest fit is now; otherwise its future slot is carved
+// into the profile as a reservation, so no later job can delay it. A job
+// beyond the depth may start only where it fits under the profile
+// immediately. A job's depth position is its index among the jobs still
+// queued, so the jobs a pass starts take up no depth. At ReserveAll this
+// is conservative backfilling, and it keeps that algorithm's guarantee:
+// job i's start never trails the estimate-based promise made at its
+// submittal.
+//
+// Unlike classic EASY, the walk runs no FCFS phase first: it starts
+// exactly the head jobs such a phase would. With Windows, that phase
+// tests FitsAt(now) && CanStart, which is the walk's scan(now) == now &&
+// CanStart. Without, the profile holds only running jobs, so its free
+// count starts at FreeProcs and only rises (every start the walk takes
+// runs from now, which keeps it so), and CanStart alone implies a fit
+// now.
 //
 // The walk stops after the last queued job that still fits now (see
 // lastFit) and runs through the reservation ledger: a pass over an
 // unchanged base with an intact queue prefix resumes at the first
 // unwalked job (or skips entirely when no job arrived since) instead of
 // re-deriving every reservation; see resvLedger for the validity proof.
-func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
-	i, checked := 0, 0
+func (e *EASY) walk(ctx Context, p *Profile, now int64) {
+	from, checked := 0, 0
 	if !e.DisableLedger && e.ledger.resumable(ctx, p, now, len(e.queue), e.queueGen) {
 		if debugchecks.Enabled {
 			e.ledger.verifyResume(ctx, e.Windows, e.queue, e.Reserve, now)
@@ -320,59 +349,62 @@ func (e *EASY) scheduleDeep(ctx Context, p *Profile, now int64) {
 			// would re-derive identically and rejections only harden.
 			return
 		}
-		i, checked = len(e.ledger.entries), e.ledger.checked
+		from, checked = len(e.ledger.entries), e.ledger.checked
 		e.ledger.restore(p, now)
 	} else {
 		e.ledger.beginPass()
 	}
+
 	gen := e.queueGen
+	// The jobs that stay queued are compacted into kept, which never
+	// passes qi, so the positions lastFit reads are still the queue's.
+	kept, keptEst := e.queue[:from], e.estq[:from]
 	last := len(e.queue) - 1
-	for i < len(e.queue) {
+	qi := from
+	for ; qi < len(e.queue); qi++ {
 		if !e.DisableLedger {
-			floor := max(i, checked)
+			floor := max(qi, checked)
 			if last = lastFit(p, now, e.queue, e.estq, last, floor); last < floor {
 				if debugchecks.Enabled {
-					verifyCut(ctx, p, e.queue, e.estq, i, e.Reserve, now)
+					verifyCut(ctx, p, e.queue[qi:], e.estq[qi:], e.Reserve-len(kept), now)
 				}
 				break
 			}
 		}
-		j := e.queue[i]
-		est := e.estq[i]
-		if i < e.Reserve {
+		j, est := e.queue[qi], e.estq[qi]
+		start := ledgerSwept
+		if len(kept) < e.Reserve {
 			h := p.scan(now, est, j.Size)
 			if h.start == now && ctx.CanStart(j, j.Size) {
 				ctx.Start(j, j.Size)
+				// Its processors are busy until its expected end; reflect
+				// that for the jobs behind it.
 				p.takeStartedHole(ctx, h, est, j.Size)
-				e.queue = append(e.queue[:i], e.queue[i+1:]...)
-				e.estq = append(e.estq[:i], e.estq[i+1:]...)
 				e.queueGen++
-				last--
 				continue
 			}
+			// Reserve: later jobs must not delay this one. The carve works
+			// over the segments the scan just verified. A job larger than
+			// the (possibly degraded) machine is held unreserved.
 			if h.start >= 0 {
-				// Protect this job: backfill below must fit around it.
 				p.takeHole(h, est, j.Size)
 			}
-			e.ledger.add(j, est, h.start)
-			i++
-			continue
-		}
-		if ctx.CanStart(j, j.Size) && p.FitsAt(now, est, j.Size) {
+			start = h.start
+		} else if ctx.CanStart(j, j.Size) && p.FitsAt(now, est, j.Size) {
 			ctx.Start(j, j.Size)
 			p.TakeStarted(ctx, now, now+est, j.Size)
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			e.estq = append(e.estq[:i], e.estq[i+1:]...)
 			e.queueGen++
-			last--
 			continue
 		}
-		e.ledger.add(j, est, ledgerSwept)
-		i++
+		e.ledger.add(j, est, start)
+		kept = append(kept, j)
+		keptEst = append(keptEst, est)
 	}
-	// A start anywhere in the pass shifted queue positions and poisoned
-	// the recorded walk (it also changed the running set, so the next
-	// build re-stamps regardless). Only an all-blocked pass commits.
+	// The cut tail stays queued in order, unreserved and unrecorded.
+	e.queue = append(kept, e.queue[qi:]...)
+	e.estq = append(keptEst, e.estq[qi:]...)
+	// A pass that started a job commits nothing: positions shifted and
+	// the running set changed, so the next build re-stamps anyway.
 	if !e.DisableLedger && e.queueGen == gen {
 		e.ledger.commit(ctx, p, e.queueGen, len(e.queue))
 	} else {
@@ -418,16 +450,17 @@ func lastFit(p *Profile, now int64, queue []*core.Job, estq []int64, last, floor
 }
 
 // verifyCut is the debugchecks dual-run for the walk cut: it finishes
-// the skipped walk from position from on a copy of p, reserving the
-// jobs within depth reserve and offering the rest immediate backfill,
-// and panics if any skipped job would start.
-func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, from, reserve int, now int64) {
+// the skipped walk over the unwalked tail of the queue on a copy of p,
+// reserving the first reserve jobs (the depth the walk had left) and
+// offering the rest immediate backfill, and panics if any skipped job
+// would start.
+func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, reserve int, now int64) {
 	if !debugchecks.Enabled {
 		return
 	}
 	shadow := p.clone()
-	for i := from; i < len(queue); i++ {
-		j, est := queue[i], estq[i]
+	for i, j := range queue {
+		est := estq[i]
 		if i < reserve {
 			start := shadow.EarliestFit(now, est, j.Size)
 			if start == now && ctx.CanStart(j, j.Size) {
@@ -445,149 +478,3 @@ func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, from, r
 }
 
 const maxFuture = int64(1) << 60
-
-// Conservative is conservative backfilling: every queued job gets a
-// reservation, and a job may backfill only if it delays no earlier
-// reservation. Each pass walks the queue in arrival order over the
-// availability profile, starting the jobs that fit now and carving a
-// reservation for each one that does not, which reproduces the
-// algorithm's guarantee directly: job i's start never trails the
-// estimate-based promise made at its submittal. The walk stops after
-// the last queued job that still fits now (see lastFit), and a pass
-// over an unchanged profile base resumes the walk its predecessor
-// recorded instead of re-deriving it (see resvLedger).
-type Conservative struct {
-	// Windows folds outages/reservations into the profile.
-	Windows bool
-	// DisableLedger turns off the resumable-pass reservation ledger and
-	// the walk cut (lastFit), forcing every pass to walk every queued job
-	// and re-derive every reservation from scratch. Decisions are
-	// identical either way — the ledger resumes the exact deterministic
-	// arrival-order walk, and the cut skips only jobs that cannot start —
-	// so the switch exists only as the full-walk reference for the
-	// equivalence property tests and the quadratic-vs-incremental
-	// ablation benchmarks.
-	DisableLedger bool
-
-	queue []*core.Job
-	// estq caches ctx.Estimate per queued job, index-aligned with queue
-	// (see the EASY field of the same name): one interface call per
-	// arrival instead of one per candidate per pass.
-	estq []int64
-	// scratch is the per-pass working profile, reused across passes.
-	scratch Profile
-	// ledger records the reservation walk for resumption; queueGen
-	// counts queue removals (starts), the ledger's proof that the queue
-	// it walked is still a prefix of the one it sees.
-	ledger   resvLedger
-	queueGen uint64
-}
-
-// NewConservative returns conservative backfilling.
-func NewConservative() *Conservative { return &Conservative{} }
-
-// NewConservativeWindows returns the outage/reservation-aware variant.
-func NewConservativeWindows() *Conservative { return &Conservative{Windows: true} }
-
-// Name implements Scheduler.
-func (c *Conservative) Name() string {
-	if c.Windows {
-		return "cons+win"
-	}
-	return "cons"
-}
-
-// Queued implements QueueReporter.
-func (c *Conservative) Queued() []*core.Job { return append([]*core.Job(nil), c.queue...) }
-
-// OnSubmit implements Scheduler.
-func (c *Conservative) OnSubmit(ctx Context, j *core.Job) {
-	c.queue = append(c.queue, j)
-	c.estq = append(c.estq, ctx.Estimate(j))
-	c.schedule(ctx)
-}
-
-// OnFinish implements Scheduler.
-func (c *Conservative) OnFinish(ctx Context, j *core.Job) { c.schedule(ctx) }
-
-// OnChange implements Scheduler.
-func (c *Conservative) OnChange(ctx Context) { c.schedule(ctx) }
-
-func (c *Conservative) schedule(ctx Context) {
-	now := ctx.Now()
-	var p *Profile
-	if c.Windows {
-		p = BuildProfileInto(&c.scratch, ctx)
-	} else {
-		p = BuildRunningProfileInto(&c.scratch, ctx)
-	}
-
-	// Resume the recorded walk when the base and queue prefix are
-	// provably unchanged (see resvLedger): only jobs that arrived after
-	// the last committed pass need evaluation, and a pass with no new
-	// arrivals is a provable no-op.
-	from, checked := 0, 0
-	if !c.DisableLedger && c.ledger.resumable(ctx, p, now, len(c.queue), c.queueGen) {
-		if debugchecks.Enabled {
-			c.ledger.verifyResume(ctx, c.Windows, c.queue, len(c.ledger.entries), now)
-		}
-		if len(c.queue) == c.ledger.checked {
-			return
-		}
-		from, checked = len(c.ledger.entries), c.ledger.checked
-		c.ledger.restore(p, now)
-	} else {
-		c.ledger.beginPass()
-	}
-
-	gen := c.queueGen
-	kept := c.queue[:from]
-	keptEst := c.estq[:from]
-	last := len(c.queue) - 1
-	qi := from
-	for ; qi < len(c.queue); qi++ {
-		if !c.DisableLedger {
-			floor := max(qi, checked)
-			if last = lastFit(p, now, c.queue, c.estq, last, floor); last < floor {
-				if debugchecks.Enabled {
-					verifyCut(ctx, p, c.queue, c.estq, qi, len(c.queue), now)
-				}
-				break
-			}
-		}
-		j := c.queue[qi]
-		est := c.estq[qi]
-		h := p.scan(now, est, j.Size)
-		if h.start == now && ctx.CanStart(j, j.Size) {
-			ctx.Start(j, j.Size)
-			// Its processors are busy until its expected end; reflect
-			// that for the jobs behind it.
-			p.takeStartedHole(ctx, h, est, j.Size)
-			c.queueGen++
-			continue
-		}
-		if h.start < 0 {
-			// Larger than the (possibly degraded) machine: hold it.
-			kept = append(kept, j)
-			keptEst = append(keptEst, est)
-			c.ledger.add(j, est, h.start)
-			continue
-		}
-		// Reserve: later jobs must not delay this one. The carve works
-		// over the segments the scan just verified.
-		p.takeHole(h, est, j.Size)
-		kept = append(kept, j)
-		keptEst = append(keptEst, est)
-		c.ledger.add(j, est, h.start)
-	}
-	// The cut tail stays queued in order, unreserved and unrecorded.
-	c.queue = append(kept, c.queue[qi:]...)
-	c.estq = append(keptEst, c.estq[qi:]...)
-	// A pass that started a job commits nothing: positions shifted and
-	// the running set changed, so the next build re-stamps anyway.
-	if !c.DisableLedger && c.queueGen == gen {
-		c.ledger.commit(ctx, p, c.queueGen, len(c.queue))
-	} else {
-		c.ledger.ok = false
-	}
-}

@@ -295,9 +295,9 @@ func TestEASYReserveDepthProtectsSecondJob(t *testing.T) {
 	}
 }
 
-// TestEASYDeepReserveMatchesConservative: with the reservation depth
-// covering the whole queue, the EASY pass reduces to conservative
-// backfilling on this scenario.
+// TestEASYDeepReserveMatchesConservative: a reservation depth deeper
+// than the queue decides as conservative backfilling (ReserveAll) does
+// on this scenario.
 func TestEASYDeepReserveMatchesConservative(t *testing.T) {
 	drive := func(s Scheduler) []int64 {
 		m := newMock(8)
@@ -385,7 +385,7 @@ func TestWalkCutMatchesFullWalk(t *testing.T) {
 		mk   func(disable bool) (Scheduler, *resvLedger)
 	}{
 		{"cons", func(d bool) (Scheduler, *resvLedger) {
-			s := &Conservative{DisableLedger: d}
+			s := &EASY{Reserve: ReserveAll, DisableLedger: d}
 			return s, &s.ledger
 		}},
 		{"easy-deep", func(d bool) (Scheduler, *resvLedger) {

@@ -160,9 +160,9 @@ func (l *resvLedger) restore(p *Profile, now int64) {
 // and panics on the first divergence — wrong job, wrong inputs, a
 // reservation that would land elsewhere, a swept job that would now
 // backfill, a cut job that would now fit, or a restored snapshot that
-// differs from the replayed one. reserve is the depth boundary the
-// recording pass used (len(entries) or more for conservative walks,
-// the EASY depth for deep walks).
+// differs from the replayed one. reserve is the reservation depth the
+// recording pass walked with, the scheduler's Reserve (ReserveAll for
+// conservative backfilling).
 //
 // The call sits behind debugchecks.Enabled at every call site, so
 // release builds carry no trace of it.

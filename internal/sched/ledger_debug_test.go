@@ -16,7 +16,7 @@ import (
 	"parsched/internal/core"
 )
 
-// ledgerResumeScenario drives a Conservative to a committed,
+// ledgerResumeScenario drives conservative backfilling to a committed,
 // resumable ledger with one walked entry and one cut job: job 1 takes
 // six of eight processors, job 2 needs all eight and is blocked, and
 // job 3 fits now until job 2's reservation is carved, so its pass walks
@@ -24,7 +24,7 @@ import (
 // reaching the reservation, and the next submit must take the resume
 // path — which, under debugchecks, replays the recorded prefix from
 // scratch first.
-func ledgerResumeScenario(t *testing.T) (*mockContext, *Conservative) {
+func ledgerResumeScenario(t *testing.T) (*mockContext, *EASY) {
 	t.Helper()
 	m := newMock(8)
 	c := NewConservative()

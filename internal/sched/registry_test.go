@@ -69,8 +69,8 @@ func TestLegacyNamesBuildIdentically(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"cons+win", "cons(window)"} {
-		if c := mustNew(spec).(*Conservative); !c.Windows {
-			t.Errorf("%s did not set Windows", spec)
+		if c := mustNew(spec).(*EASY); !c.Windows || c.Reserve != ReserveAll {
+			t.Errorf("%s = %+v, want Windows at depth ReserveAll", spec, c)
 		}
 	}
 	for _, c := range []struct {

@@ -3,7 +3,9 @@
 // (SJF, LJF, LXF, first-fit), EASY and conservative backfilling,
 // gang scheduling (time slicing with an Ousterhout matrix), plus
 // reservation-aware and outage-aware variants of the backfillers and a
-// moldable-job adapter.
+// moldable-job adapter. Backfilling is one type, EASY, whose
+// reservation depth runs from classic EASY (the queue head only) to
+// conservative backfilling (ReserveAll, every queued job).
 //
 // Schedulers are event-driven plugins: the simulator (internal/sim)
 // owns time and resources and invokes a Scheduler on job submission,

@@ -139,8 +139,12 @@ type timedWindow struct {
 }
 
 // NewInstance creates a machine of maxNodes nodes (heterogeneous if
-// opts.NodeMem is set) scheduled by s, attached to engine.
+// opts.NodeMem is set) scheduled by s, attached to engine. A machine
+// beyond core.MaxMachine is an error before anything is allocated.
 func NewInstance(engine *des.Engine, name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
+	if err := core.CheckMachine(maxNodes); err != nil {
+		return nil, fmt.Errorf("sim: %w", err) //schedlint:allow allocfree setup error path: once per instance, before any event fires
+	}
 	var machine *cluster.Machine
 	if opts.NodeMem != nil {
 		if len(opts.NodeMem) != maxNodes {
@@ -321,12 +325,8 @@ func (sm *Instance) submit(j *core.Job, effective int64) {
 	sm.outcomes[j.ID] = o
 	sm.submitEpoch++
 	sm.submitted++
-	sm.callback(func() { sm.schedule.OnSubmit(sm, j) })
+	sm.schedule.OnSubmit(sm, j)
 }
-
-// callback wraps scheduler invocations (a single funnel point so that
-// tracing or invariant checks can be attached in one place).
-func (sm *Instance) callback(f func()) { f() }
 
 // emit streams one outcome to the registered observers. finishJob and
 // the permanent-drop path call it at event time; collect flushes the
@@ -356,7 +356,7 @@ func (sm *Instance) recordSample(obs []SampleObserver) {
 }
 
 func (sm *Instance) notifyChange() {
-	sm.callback(func() { sm.schedule.OnChange(sm) })
+	sm.schedule.OnChange(sm)
 }
 
 // applyNodeEvents processes a batch of same-instant node transitions,
@@ -439,7 +439,7 @@ func (sm *Instance) killJob(id int64) {
 	}
 	// Restart from scratch: hand the job back to the scheduler.
 	sm.submitEpoch++
-	sm.callback(func() { sm.schedule.OnSubmit(sm, job) })
+	sm.schedule.OnSubmit(sm, job)
 }
 
 // claimReservation allocates the reserved processors at start time.
@@ -856,7 +856,7 @@ func (sm *Instance) terminate(job *core.Job, o *metrics.Outcome) {
 		delete(sm.outcomes, job.ID)
 		sm.outcomeSlab.put(o) //schedlint:allow escape free list, inlined here: one block on its first free, then grown only with the peak in-flight population
 	}
-	sm.callback(func() { sm.schedule.OnFinish(sm, job) })
+	sm.schedule.OnFinish(sm, job)
 	if sm.ownsJobs {
 		if debugchecks.Enabled {
 			poisonJob(job, sm.machine.Total())

@@ -36,10 +36,10 @@ type ledgerPair struct {
 func ledgerPairs() []ledgerPair {
 	return []ledgerPair{
 		{"cons", func(d bool) sched.Scheduler {
-			return &sched.Conservative{DisableLedger: d}
+			return &sched.EASY{Reserve: sched.ReserveAll, DisableLedger: d}
 		}},
 		{"cons+win", func(d bool) sched.Scheduler {
-			return &sched.Conservative{Windows: true, DisableLedger: d}
+			return &sched.EASY{Windows: true, Reserve: sched.ReserveAll, DisableLedger: d}
 		}},
 		{"easy-deep", func(d bool) sched.Scheduler {
 			return &sched.EASY{Reserve: 4, DisableLedger: d}

@@ -21,8 +21,12 @@ import (
 // event per trace job; pre-sizing the engine for that makes the run
 // allocation-free in steady state. Under DiscardOutcomes the instance
 // deletes each final outcome once observers have it and reuses its
-// record, so the outcome map holds only the jobs in flight.
+// record, so the outcome map holds only the jobs in flight. A machine
+// beyond core.MaxMachine is an error before the engine is sized.
 func newReplay(name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
+	if err := core.CheckMachine(maxNodes); err != nil {
+		return nil, fmt.Errorf("sim: %w", err) //schedlint:allow allocfree setup error path: rejects the machine before any event fires
+	}
 	engine := des.NewEngine(maxNodes + 2*len(opts.Reservations) + 64)
 	sm, err := NewInstance(engine, name, maxNodes, s, opts)
 	if err != nil {

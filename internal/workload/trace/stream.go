@@ -63,6 +63,9 @@ func OpenStream(path string) (*StreamSource, error) {
 	if int(stats.MaxJobSize) > src.maxNodes {
 		src.maxNodes = int(stats.MaxJobSize)
 	}
+	if err := core.CheckMachine(src.maxNodes); err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
 	return src, nil
 }
 

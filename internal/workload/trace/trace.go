@@ -109,6 +109,9 @@ func FromLog(name string, log *swf.Log) (*Source, error) {
 			w.MaxNodes = j.Size
 		}
 	}
+	if err := core.CheckMachine(w.MaxNodes); err != nil {
+		return nil, fmt.Errorf("trace %s: %w", name, err)
+	}
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("trace %s: cleaned log not replayable: %w", name, err)
 	}
