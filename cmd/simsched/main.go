@@ -25,7 +25,10 @@
 // optionally rescaled to a target offered load by interarrival
 // scaling. "-" or no argument reads the log from stdin. Each
 // scheduler run is a RunSpec (internal/experiments), the same unified
-// run configuration the experiment battery and the library facade use.
+// run configuration the experiment battery and the library facade use;
+// a trace file runs through experiments.Execute, which streams the
+// faithful replay of a streamable regular file and materializes
+// everything else (a FIFO such as /dev/stdin is read once).
 package main
 
 import (
@@ -52,7 +55,6 @@ func main() {
 	bsldTau := flag.Int64("bsld-tau", 0, "bounded-slowdown runtime floor in seconds (0 = default 10)")
 	sketch := flag.Bool("sketch", false, "O(1)-memory quantile sketches instead of exact percentiles")
 	sample := flag.Int64("sample", 0, "print a utilization/queue/backlog time series sampled every N seconds (0 = off)")
-	stream := flag.Bool("stream", false, "replay a trace file through the O(1)-memory streaming pipeline (faithful replay only: sorted feedback-free log, no -scale-load/-feedback/-jobs rescaling beyond truncation)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: simsched [flags] trace.swf   ('-' or no argument reads stdin)")
 		flag.PrintDefaults()
@@ -60,42 +62,10 @@ func main() {
 	}
 	flag.Parse()
 
-	var src *trace.Source
-	var ssrc *trace.StreamSource
-	var err error
-	switch {
-	case *stream:
-		// Streaming needs two passes over the file (statistics, then
-		// replay), so it cannot read stdin.
-		if flag.NArg() != 1 || flag.Arg(0) == "-" {
-			fail(fmt.Errorf("-stream needs a trace file argument"))
-		}
-		ssrc, err = trace.OpenStream(flag.Arg(0))
-	case flag.NArg() == 0 || (flag.NArg() == 1 && flag.Arg(0) == "-"):
-		var log *swf.Log
-		log, err = swf.Read(os.Stdin)
-		if err == nil {
-			name := log.Header.Computer
-			if name == "" {
-				name = "stdin"
-			}
-			src, err = trace.FromLog(name, log)
-		}
-	case flag.NArg() == 1:
-		src, err = trace.Open(flag.Arg(0))
-	default:
+	if flag.NArg() > 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err != nil {
-		fail(err)
-	}
-	if ssrc != nil {
-		fmt.Fprintf(os.Stderr, "simsched: scanned %s: %s\n", ssrc.Name, ssrc.CleanSummary())
-	} else {
-		fmt.Fprintf(os.Stderr, "simsched: cleaned %s: %s\n", src.Name, src.CleanSummary())
-	}
-
 	if *bsldTau < 0 {
 		fail(fmt.Errorf("-bsld-tau: %d is not a positive duration", *bsldTau))
 	}
@@ -125,6 +95,33 @@ func main() {
 		Metrics: metricsSpec,
 	}
 
+	// A stdin log is parsed here and replayed from memory; a file
+	// argument is left to Execute, which streams or materializes it.
+	var src *trace.Source
+	var summary string
+	var err error
+	if flag.NArg() == 0 || flag.Arg(0) == "-" {
+		var log *swf.Log
+		log, err = swf.Read(os.Stdin)
+		if err == nil {
+			name := log.Header.Computer
+			if name == "" {
+				name = "stdin"
+			}
+			src, err = trace.FromLog(name, log)
+		}
+		if err == nil {
+			summary = "cleaned " + src.Name + ": " + src.CleanSummary()
+		}
+	} else {
+		base.Source = experiments.ParseSource("trace:" + flag.Arg(0))
+		summary, err = base.CleanSummary()
+	}
+	if err != nil {
+		fail(err)
+	}
+	fmt.Fprintln(os.Stderr, "simsched:", summary)
+
 	// Fail fast on a bad outage file, before any scheduler runs.
 	if _, err := base.Sim.Options(); err != nil {
 		fail(err)
@@ -143,10 +140,10 @@ func main() {
 		rs := base
 		rs.Scheduler = sp
 		var results []experiments.RunResult
-		if ssrc != nil {
-			results, err = experiments.ExecuteStream(ssrc, rs)
-		} else {
+		if src != nil {
 			results, err = experiments.ExecuteSource(src, rs)
+		} else {
+			results, err = experiments.Execute(rs)
 		}
 		if err != nil {
 			fail(err)

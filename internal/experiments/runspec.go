@@ -278,7 +278,7 @@ func (rs RunSpec) Validate() error {
 // stream.go).
 func Execute(rs RunSpec) ([]RunResult, error) {
 	if src, ok := rs.streamSource(); ok {
-		return ExecuteStream(src, rs)
+		return execute(rs, func(float64) (replay, error) { return streamed{src, rs.Jobs}, nil })
 	}
 	if err := rs.Validate(); err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"parsched/internal/core"
@@ -26,7 +27,7 @@ import (
 // Streaming reads the file twice (statistics, then replay), so a FIFO
 // or device keeps the materialized path.
 func (rs RunSpec) streamSource() (*trace.StreamSource, bool) {
-	if rs.Source.Kind != sourceTrace || rs.faithfulReplay() != nil {
+	if rs.Source.Kind != sourceTrace || !rs.faithfulReplay() {
 		return nil, false
 	}
 	fi, err := os.Stat(rs.Source.Arg)
@@ -42,23 +43,26 @@ func (rs RunSpec) streamSource() (*trace.StreamSource, bool) {
 	return src, true
 }
 
-// faithfulReplay returns nil when the spec asks for the faithful replay
-// streaming serves — recorded load (no rescaling), variant 0 (no gap
-// resampling), open loop (no feedback) — and otherwise an error naming
-// the first departure.
-func (rs RunSpec) faithfulReplay() error {
-	if rs.Rep != 0 {
-		return fmt.Errorf("runspec: streaming replay cannot resample variants (rep %d); use the materialized path", rs.Rep)
+// faithfulReplay reports whether the spec asks for the faithful replay
+// streaming serves: recorded load (no rescaling), variant 0 (no gap
+// resampling), open loop (no feedback).
+func (rs RunSpec) faithfulReplay() bool {
+	return rs.Rep == 0 && !rs.Sim.Feedback && !slices.ContainsFunc(rs.Loads, func(l float64) bool { return l != 0 })
+}
+
+// CleanSummary reads the spec's trace the way Execute will and renders
+// what cleaning did to it, for CLIs that must surface trace mutilation:
+// the statistics pass of a log Execute streams, or the cleaned log
+// otherwise. Both are cached, so a FIFO is still read only once.
+func (rs RunSpec) CleanSummary() (string, error) {
+	if src, ok := rs.streamSource(); ok {
+		return "scanned " + src.Name + ": " + src.CleanSummary(), nil
 	}
-	if rs.Sim.Feedback {
-		return fmt.Errorf("runspec: streaming replay cannot run the closed loop; use the materialized path")
+	src, err := trace.Cached(rs.Source.Arg)
+	if err != nil {
+		return "", err
 	}
-	for _, l := range rs.Loads {
-		if l != 0 {
-			return fmt.Errorf("runspec: streaming replay cannot rescale load to %g; use the materialized path", l)
-		}
-	}
-	return nil
+	return "cleaned " + src.Name + ": " + src.CleanSummary(), nil
 }
 
 // streamCache memoizes the statistics pass per absolute path, the
@@ -81,20 +85,6 @@ func cachedStreamSource(path string) (*trace.StreamSource, error) {
 	}
 	streamCache.Store(key, src)
 	return src, nil
-}
-
-// ExecuteStream runs the RunSpec against an already-opened stream
-// source, the streaming sibling of ExecuteSource. Unlike Execute's
-// automatic choice it is an explicit request, so an incompatible spec
-// is an error rather than a silent fallback.
-func ExecuteStream(src *trace.StreamSource, rs RunSpec) ([]RunResult, error) {
-	if !src.Streamable() {
-		return nil, fmt.Errorf("runspec: trace %s is not streamable (records out of order, or feedback references); use the materialized path", src.Path)
-	}
-	if err := rs.faithfulReplay(); err != nil {
-		return nil, err
-	}
-	return execute(rs, func(float64) (replay, error) { return streamed{src, rs.Jobs}, nil })
 }
 
 // streamed is a faithful replay pulled from a trace file (its first

@@ -63,8 +63,7 @@ func TestExecuteAutoStreamMatchesMaterialized(t *testing.T) {
 func TestAutoStreamGateRespectsRunShape(t *testing.T) {
 	path := cleanedTrace(t)
 	base := traceSpec(path)
-	src, ok := base.streamSource()
-	if !ok {
+	if _, ok := base.streamSource(); !ok {
 		t.Fatal("baseline spec should stream")
 	}
 
@@ -82,10 +81,6 @@ func TestAutoStreamGateRespectsRunShape(t *testing.T) {
 	for name, rs := range shapes {
 		if _, ok := rs.streamSource(); ok {
 			t.Errorf("%s: must fall back to the materialized path", name)
-		}
-		// The explicit entry point refuses the same shapes.
-		if _, err := ExecuteStream(src, rs); err == nil {
-			t.Errorf("%s: ExecuteStream must refuse it", name)
 		}
 	}
 	model := base

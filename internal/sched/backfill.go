@@ -57,6 +57,12 @@ func init() {
 // an extension of backfilling"): with Windows=true, announced outages
 // and accepted reservations become capacity reductions in the shadow
 // computation, giving the reservation-aware/outage-aware variant.
+//
+// Between passes EASY keeps only what the context's epoch stamps prove
+// still holds: its scratch profile's snapshots, the reservation ledger
+// of the walk (Reserve > 1), the swept-queue memo of classic EASY's
+// backfill sweep, and each queued job's estimate. The head's shadow time
+// is recomputed every pass.
 type EASY struct {
 	// Windows folds Outages() and Reservations() into the availability
 	// profile, making the scheduler drain for known capacity holes.
@@ -96,17 +102,6 @@ type EASY struct {
 	// scratch is the per-pass working profile, reused across scheduling
 	// passes so a pass costs no profile allocations.
 	scratch Profile
-	// Shadow-time cache: the head's reservation recomputes identically
-	// while the profile base is unchanged (same build stamp, no Take
-	// mirrored into it), the head job is the same, and the cached start
-	// has not fallen due. EarliestFit found no earlier hole last pass,
-	// and the profile has only aged, so none can have appeared.
-	shadowOK    bool
-	shadowStamp uint64
-	shadowHead  int64
-	shadowEst   int64
-	shadowSize  int
-	shadowVal   int64
 	// Swept-queue memo: after a phase-2 sweep that started nothing, a
 	// later pass over the same profile base (same stamp, no Take
 	// mirrored into it — a start anywhere would have changed the running
@@ -248,26 +243,11 @@ func (e *EASY) schedule(ctx Context) {
 	// profile, then backfill later jobs that do not delay it.
 	head := e.queue[0]
 	headEst := e.estq[0]
-	var shadow int64
-	if e.shadowOK && !p.Mutated() && e.shadowStamp == p.Stamp() &&
-		e.shadowHead == head.ID && e.shadowEst == headEst &&
-		e.shadowSize == head.Size && e.shadowVal >= now {
-		shadow = e.shadowVal
-	} else {
-		shadow = p.EarliestFit(now, headEst, head.Size)
-		if shadow < 0 {
-			// The head can never fit (bigger than the machine after
-			// failures); skip backfill gating against it.
-			shadow = maxFuture
-		}
-		// Cache only computations against the pristine base — a profile
-		// already carrying this pass's starts is not reproducible next
-		// pass.
-		e.shadowOK = !p.Mutated()
-		if e.shadowOK {
-			e.shadowStamp, e.shadowHead = p.Stamp(), head.ID
-			e.shadowEst, e.shadowSize, e.shadowVal = headEst, head.Size, shadow
-		}
+	shadow := p.EarliestFit(now, headEst, head.Size)
+	if shadow < 0 {
+		// The head can never fit (bigger than the machine after
+		// failures); skip backfill gating against it.
+		shadow = maxFuture
 	}
 	// Processors left over for backfill at the shadow time.
 	extra := p.FreeAt(shadow) - head.Size
@@ -335,19 +315,14 @@ func (e *EASY) schedule(ctx Context) {
 // The walk stops after the last queued job that still fits now (see
 // lastFit) and runs through the reservation ledger: a pass over an
 // unchanged base with an intact queue prefix resumes at the first
-// unwalked job (or skips entirely when no job arrived since) instead of
-// re-deriving every reservation; see resvLedger for the validity proof.
+// unwalked job instead of re-deriving every reservation; see resvLedger
+// for the validity proof. When no job arrived since, the resumed walk
+// cuts at once (the floor is checked) and commits the same ledger.
 func (e *EASY) walk(ctx Context, p *Profile, now int64) {
 	from, checked := 0, 0
 	if !e.DisableLedger && e.ledger.resumable(ctx, p, now, len(e.queue), e.queueGen) {
 		if debugchecks.Enabled {
 			e.ledger.verifyResume(ctx, e.Windows, e.queue, e.Reserve, now)
-		}
-		if len(e.queue) == e.ledger.checked {
-			// Pass-skip: every queued job was walked or cut against this
-			// very base and nothing relevant has changed — reservations
-			// would re-derive identically and rejections only harden.
-			return
 		}
 		from, checked = len(e.ledger.entries), e.ledger.checked
 		e.ledger.restore(p, now)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"parsched/internal/core"
@@ -328,12 +329,14 @@ func TestEASYDeepReserveMatchesConservative(t *testing.T) {
 // and checks the walk cut: a fruitless pass walks only up to the last
 // job that fits now, so it records fewer entries than there are queued
 // jobs but marks the whole queue checked, and every start and the queue
-// order stay those of a DisableLedger run, which walks every job.
+// order stay those of a DisableLedger run, which walks every job. A
+// pass with nothing changed resumes with no job left to test, cuts at
+// once and commits the same ledger.
 func TestWalkCutMatchesFullWalk(t *testing.T) {
 	type step struct {
 		at      int64
 		id      int64
-		size    int // > 0 submits job id; 0 finishes it
+		size    int // > 0 submits job id; 0 finishes it; < 0 runs OnChange with nothing changed
 		runtime int64
 		walked  int // after a fruitless pass: expected ledger entries; -1 skips the check
 	}
@@ -342,10 +345,12 @@ func TestWalkCutMatchesFullWalk(t *testing.T) {
 		{0, 2, 16, 100, -1},
 		{0, 3, 4, 2000, 1}, // fits now until job 2's reservation is carved
 		{0, 4, 8, 50, 1},
+		{0, 0, -1, 0, 1},   // nothing changed
 		{0, 5, 2, 500, -1}, // fits: the walk reserves jobs 3 and 4, then starts it
 		{0, 6, 4, 100, 0},  // nothing fits: not one job is walked
 		{500, 5, 0, 0, -1}, // job 6 backfills
 		{600, 6, 0, 0, 1},
+		{700, 0, -1, 0, 1},  // nothing changed but the clock
 		{1000, 1, 0, 0, -1}, // job 2 starts on time
 		{1100, 2, 0, 0, -1}, // jobs 3 and 4 start on time
 	}
@@ -358,10 +363,20 @@ func TestWalkCutMatchesFullWalk(t *testing.T) {
 		var tr trace
 		for i, st := range steps {
 			m.advance(st.at)
-			if st.size > 0 {
+			switch {
+			case st.size > 0:
 				m.submit(s, job(st.id, st.at, st.size, st.runtime))
-			} else {
+			case st.size == 0:
 				m.finish(s, st.id)
+			case ledger == nil:
+				s.OnChange(m)
+			default:
+				entries, checked := slices.Clone(ledger.entries), ledger.checked
+				s.OnChange(m)
+				if !ledger.ok || !slices.Equal(ledger.entries, entries) || ledger.checked != checked {
+					t.Fatalf("step %d: a pass with nothing changed left ok=%v entries=%v checked=%d, want the committed %v checked=%d",
+						i, ledger.ok, ledger.entries, ledger.checked, entries, checked)
+				}
 			}
 			q := s.(QueueReporter).Queued()
 			ids := make([]int64, len(q))

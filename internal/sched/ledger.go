@@ -7,23 +7,16 @@ import (
 	"parsched/internal/debugchecks"
 )
 
-// Ledger start sentinels. Real reservations record their start time
-// (>= the pass's now); the sentinels record the two ways a walked job
-// can end a pass without one.
-const (
-	// ledgerHeld marks a job EarliestFit rejected outright (bigger than
-	// the possibly-degraded machine). EarliestFit returns -1 for these,
-	// so recorded starts can be compared without translation.
-	ledgerHeld = int64(-1)
-	// ledgerSwept marks a job beyond the reservation depth that was
-	// offered immediate backfill and rejected.
-	ledgerSwept = int64(-2)
-)
+// ledgerSwept is the start a ledger entry records for a job beyond the
+// reservation depth that was offered immediate backfill and rejected.
+const ledgerSwept = int64(-2)
 
 // ledgerEntry is one walked job's outcome: identity, the inputs the
 // decision depended on (estimate and size — both frozen after submit;
 // the moldable adapter molds before the job ever reaches a queue), and
-// the start it was promised (or a sentinel).
+// the start it was promised. A job within the depth that can never fit
+// (bigger than the possibly-degraded machine) is held unreserved and
+// records EarliestFit's -1; a swept job records ledgerSwept.
 type ledgerEntry struct {
 	id    int64
 	est   int64

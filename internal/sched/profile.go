@@ -7,6 +7,12 @@ import "sort"
 // from the running jobs' expected completions (plus outage and
 // reservation windows) and query it for the earliest hole that fits a
 // job. This is the core data structure of conservative backfilling.
+//
+// A scheduler keeps one Profile as scratch across its passes, and each
+// build reuses what the context's epoch stamps prove unchanged: the
+// window deltas and the merged base. A scratch profile belongs to one
+// builder, BuildProfileInto or BuildRunningProfileInto, for its whole
+// life: neither records which of them filled it.
 type Profile struct {
 	// times[i] is the start of segment i; frees[i] is the free
 	// processor count on [times[i], times[i+1]). The last segment
@@ -54,41 +60,12 @@ type Profile struct {
 	baseF        []int
 	baseFree     int
 	baseRunEpoch uint64
-
-	// mode records which build arm produced the current snapshot
-	// (windows-aware or running-only), so a scratch profile handed to
-	// the other arm rebuilds instead of reusing a snapshot that was
-	// merged from different inputs. Schedulers never switch arms, so in
-	// practice this only guards tests and future composition.
-	mode buildMode
 }
-
-// buildMode distinguishes the two profile build arms.
-type buildMode uint8
-
-const (
-	modeNone    buildMode = iota
-	modeWindows           // running releases + outage/reservation windows
-	modeRunning           // running releases only (classic backfilling)
-)
 
 // NewProfile creates a profile that is flat at free processors from
 // time start onward.
 func NewProfile(start int64, free int) *Profile {
 	return &Profile{times: []int64{start}, frees: []int{free}}
-}
-
-// Reset re-initializes p to a flat profile of free processors from
-// start onward, reusing its backing arrays. Callers that assemble a
-// profile by hand (tests, one-off queries) Reset it instead of
-// allocating; Reset also voids the build-arm snapshot, since whatever
-// Release/Take sequence follows is not something buildProfile can vouch
-// for on a later cache-hit restore.
-func (p *Profile) Reset(start int64, free int) *Profile {
-	p.times = append(p.times[:0], start)
-	p.frees = append(p.frees[:0], free)
-	p.mode = modeNone
-	return p
 }
 
 // clone copies the profile's segments, for tests and the debugchecks
@@ -234,23 +211,6 @@ func (p *Profile) takeStartedHole(ctx Context, h hole, dur int64, procs int) {
 	p.buildStamp++
 }
 
-// Release adds procs free processors from time `from` onward (a running
-// job's expected completion, or nodes returning after an outage).
-func (p *Profile) Release(from int64, procs int) {
-	p.mutated = true
-	if from < p.times[0] {
-		from = p.times[0]
-	}
-	i := p.segmentAt(from)
-	if p.times[i] != from {
-		i++
-		p.insert(i, from)
-	}
-	for k := i; k < len(p.frees); k++ {
-		p.frees[k] += procs
-	}
-}
-
 // FreeAt returns the free processor count at time t.
 func (p *Profile) FreeAt(t int64) int {
 	if t < p.times[0] {
@@ -370,26 +330,14 @@ func BuildProfile(ctx Context) *Profile {
 // The build is a single merge of two sorted delta streams: running-job
 // releases (Running() is ordered by expected end, and overdueClamp is
 // monotone, so their breakpoints arrive pre-sorted) and outage/
-// reservation window edges (batch-sorted into scratch). Appending
-// cumulative breakpoints replaces the old per-window breakpoint inserts,
-// whose memmoves dominated windows-on runs; the resulting times/frees
-// arrays are element-identical to what the Release/Take sequence
-// produced.
+// reservation window edges (batch-sorted into scratch).
 func BuildProfileInto(p *Profile, ctx Context) *Profile {
 	return buildProfile(p, ctx, true)
 }
 
 // BuildRunningProfileInto builds the windowless profile — current free
 // capacity plus running-job releases only — through the same sorted-
-// merge kernel and snapshot machinery as BuildProfileInto. It replaces
-// the classic per-running-job Release loop, whose insert memmoves made
-// windowless builds quadratic in the running-set size, and gives the
-// windowless schedulers the build stamps and cache-hit restores the
-// windowed arm already had. The output is element-identical to the
-// Release sequence: Running() is ExpEnd-ordered and overdueClamp is
-// monotone, so the cumulative release breakpoints arrive pre-sorted
-// with strictly increasing times and the merge appends exactly the
-// breakpoints Release would have inserted one by one.
+// merge kernel and snapshot machinery as BuildProfileInto.
 func BuildRunningProfileInto(p *Profile, ctx Context) *Profile {
 	return buildProfile(p, ctx, false)
 }
@@ -398,18 +346,11 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 	now := ctx.Now()
 	free := ctx.FreeProcs()
 
-	mode := modeRunning
-	if windows {
-		mode = modeWindows
-	}
-	modeOK := p.mode == mode
-
 	// Window deltas are reused while the context's WindowEpoch stamp is
 	// unchanged (no window reads at all on a hit) and no window has
 	// crossed a classification boundary; a context without the stamp
-	// re-derives them on every build. The running-only arm carries no
-	// window deltas at all: its scratch buffers are empty and stay
-	// empty, so winsOK is trivially true once the arm matches.
+	// re-derives them on every build. The running-only arm never fills
+	// its delta buffers.
 	winsOK := true
 	if windows {
 		we, stamped := ctx.(WindowEpoch)
@@ -417,30 +358,25 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 		if stamped {
 			ep = we.WindowsEpoch()
 		}
-		winsOK = stamped && modeOK && p.cwValid && p.cwEpoch == ep && now < p.cwUntil
+		winsOK = stamped && p.cwValid && p.cwEpoch == ep && now < p.cwUntil
 		if !winsOK {
 			p.rebuildWindowDeltas(now, ctx.Outages(), ctx.Reservations())
 			p.cwValid, p.cwEpoch = stamped, ep
 		}
-	} else if !modeOK {
-		// Entering running-only mode: drop whatever window deltas a
-		// previous windowed build left in the scratch buffers.
-		p.winT, p.winV = p.winT[:0], p.winV[:0]
-		p.cwValid = false
 	}
 
-	// Base freshness: same build arm, same free count, no snapshot
-	// breakpoint fallen due (breakpoints are strictly increasing, so
-	// baseT[1] bounds them all and also catches overdue-job clamps going
-	// stale — the clamp is always the earliest breakpoint), and an
-	// unchanged RunEpoch stamp (no Running() read at all on a hit). A
-	// context without the stamp gets no restore.
+	// Base freshness: same free count, no snapshot breakpoint fallen due
+	// (breakpoints are strictly increasing, so baseT[1] bounds them all
+	// and also catches overdue-job clamps going stale — the clamp is
+	// always the earliest breakpoint), and an unchanged RunEpoch stamp
+	// (no Running() read at all on a hit). A context without the stamp
+	// gets no restore.
 	re, runStamped := ctx.(RunEpoch)
 	var runEp uint64
 	if runStamped {
 		runEp = re.RunningEpoch()
 	}
-	if winsOK && runStamped && modeOK && len(p.baseT) > 0 && p.baseRunEpoch == runEp &&
+	if winsOK && runStamped && len(p.baseT) > 0 && p.baseRunEpoch == runEp &&
 		p.baseFree == free && !(len(p.baseT) > 1 && p.baseT[1] <= now) {
 		if p.mutated {
 			p.times = append(p.times[:0], p.baseT...)
@@ -452,7 +388,6 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 	}
 
 	running := ctx.Running()
-	p.Reset(now, free)
 
 	// Two-pointer merge with cached stream heads, so each release is
 	// clamped exactly once. The output is at most one breakpoint per
@@ -465,6 +400,7 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 		p.frees = append(p.frees[:cap(p.frees)], make([]int, need-cap(p.frees))...)   //schedlint:allow allocfree amortized doubling of the reused profile arrays, not a per-pass allocation
 	}
 	times, frees := p.times[:need], p.frees[:need]
+	times[0], frees[0] = now, free
 	n := 1
 	ri, wi := 0, 0
 	rt, wt := int64(maxFuture), int64(maxFuture)
@@ -474,7 +410,7 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 	if wi < len(p.winT) {
 		wt = p.winT[wi]
 	}
-	cur := frees[0]
+	cur := free
 	for rt != maxFuture {
 		t := rt
 		if wt < t {
@@ -525,7 +461,6 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 	} else {
 		p.baseT, p.baseF = p.baseT[:0], p.baseF[:0]
 	}
-	p.mode = mode
 	p.mutated = false
 	p.buildStamp++
 	return p
@@ -537,8 +472,8 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 // from an earlier pass are still exact.
 func (p *Profile) Stamp() uint64 { return p.buildStamp }
 
-// Mutated reports whether the profile was written (Take/Release) since
-// its last build.
+// Mutated reports whether the profile was written (Take) since its last
+// build.
 func (p *Profile) Mutated() bool { return p.mutated }
 
 // rebuildWindowDeltas refills the scratch delta buffers from the given

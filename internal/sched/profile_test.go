@@ -29,14 +29,6 @@ func TestProfileTake(t *testing.T) {
 	}
 }
 
-func TestProfileRelease(t *testing.T) {
-	p := NewProfile(0, 8)
-	p.Release(100, 8)
-	if p.FreeAt(50) != 8 || p.FreeAt(100) != 16 || p.FreeAt(1e9) != 16 {
-		t.Fatal("release wrong")
-	}
-}
-
 func TestProfileEarliestFitAroundHole(t *testing.T) {
 	p := NewProfile(0, 16)
 	p.Take(100, 200, 12) // only 4 free during [100,200)

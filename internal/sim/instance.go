@@ -49,18 +49,9 @@ type Instance struct {
 	// actual finish event, not the scheduler-visible estimate), so
 	// membership changes are the only mutations.
 	runOrder []*runState
-	// runBuf, outBuf, resvBuf are reused return buffers for Running(),
-	// Outages(), and Reservations(); each is valid only until the next
-	// call — schedulers consume them within a single callback.
-	runBuf  []sched.RunningJob
-	outBuf  []sched.Window
-	resvBuf []sched.Window
-	// runBufEpoch marks the runEpoch runBuf was last rebuilt at: while
-	// it matches, Running() returns the buffer as-is (its contents are a
-	// pure function of runOrder). Both start at zero, which is consistent:
-	// until the first insert bumps runEpoch, the running set is empty and
-	// the nil buffer is exactly right.
-	runBufEpoch uint64
+	// runBuf is the reused return buffer for Running(), valid only until
+	// the next call — schedulers consume it within a single callback.
+	runBuf []sched.RunningJob
 	// rsPool recycles runState structs between jobs so a start costs no
 	// allocation in steady state.
 	rsPool []*runState
@@ -71,26 +62,14 @@ type Instance struct {
 	// dependents maps predecessor ID -> dependent jobs awaiting it.
 	dependents map[int64][]*core.Job
 
-	outageWins []timedWindow
-	resvWins   []timedWindow
-	// outStartSorted/resvStartSorted record that the window lists are
-	// ascending by Start (true for generated outage logs and reservation
-	// calendars, which are built chronologically). While a list stays
-	// sorted, visibleWindows can reslice its expired prefix and bound its
-	// hidden suffix in O(visible) instead of rescanning the whole list.
-	outStartSorted  bool
-	resvStartSorted bool
-	// outMemoUntil/resvMemoUntil memoize the visibleWindows scans:
-	// outBuf/resvBuf are still exactly what a fresh scan would produce
-	// while now stays below the mark (no window expires, crosses the
-	// planning horizon, or reaches its announcement before then).
-	// Zeroed whenever a window is added.
-	outMemoUntil  int64
-	resvMemoUntil int64
+	// outages and resvs are the announced outage and accepted
+	// reservation windows.
+	outages windowList
+	resvs   windowList
 	// winEpoch stamps the visible window sets: it advances exactly when
-	// outBuf/resvBuf contents (can) change — on every window addition
-	// and every memo-expiry rescan. Profile builders compare stamps
-	// instead of window lists.
+	// their contents (can) change — on every window addition and every
+	// memo-expiry rescan. Profile builders compare stamps instead of
+	// window lists.
 	winEpoch uint64
 	// runEpoch stamps the running set the same way: it advances on every
 	// runOrder membership change (the only mutations — ExpEnd is fixed at
@@ -125,9 +104,6 @@ type Instance struct {
 	// only in-flight jobs.
 	pruneFinal bool
 
-	// FinishHook, when set, observes every final job termination
-	// (completion or permanent drop). Used by meta-schedulers.
-	FinishHook func(j *core.Job, o metrics.Outcome)
 	// StartHook observes every job start (final or not). Used by
 	// wait-time predictors, which learn from observed waits.
 	StartHook func(j *core.Job, submit, start int64)
@@ -136,6 +112,43 @@ type Instance struct {
 type timedWindow struct {
 	win       sched.Window
 	announced int64
+}
+
+// windowList is one kind of capacity window (outages or reservations)
+// as the scheduler sees it.
+type windowList struct {
+	wins []timedWindow
+	// unsorted records that wins is no longer ascending by Start. Outage
+	// logs and reservation calendars are built chronologically, so a
+	// list usually stays sorted, and visibleWindows can then reslice its
+	// expired prefix and bound its hidden suffix in O(visible) instead
+	// of rescanning the whole list.
+	unsorted bool
+	// buf is the reused visible set, valid only until the next refresh;
+	// it is exactly what a fresh scan would produce while now stays below
+	// until (no window expires, crosses the planning horizon, or reaches
+	// its announcement before then). add zeroes until.
+	buf   []sched.Window
+	until int64
+}
+
+// add appends a window announced at announced.
+func (l *windowList) add(win sched.Window, announced int64) {
+	if n := len(l.wins); n > 0 && win.Start < l.wins[n-1].win.Start {
+		l.unsorted = true
+	}
+	l.wins = append(l.wins, timedWindow{win: win, announced: announced})
+	l.until = 0
+}
+
+// refresh re-derives buf for now once the memo bound has passed and
+// reports whether it did.
+func (l *windowList) refresh(now int64) bool {
+	if now < l.until {
+		return false
+	}
+	l.wins, l.buf, l.until = visibleWindows(l.wins, l.buf[:0], now, !l.unsorted)
+	return true
 }
 
 // NewInstance creates a machine of maxNodes nodes (heterogeneous if
@@ -163,19 +176,8 @@ func NewInstance(engine *des.Engine, name string, maxNodes int, s sched.Schedule
 		running:    map[int64]*runState{},        //schedlint:allow allocfree setup: instance maps built once per run
 		outcomes:   map[int64]*metrics.Outcome{}, //schedlint:allow allocfree setup: instance maps built once per run
 		dependents: map[int64][]*core.Job{},      //schedlint:allow allocfree setup: instance maps built once per run
-
-		// Empty window lists are trivially Start-sorted; appends clear
-		// the flags on the first out-of-order window.
-		outStartSorted:  true,
-		resvStartSorted: true,
 	}, nil
 }
-
-// Scheduler returns the attached scheduler.
-func (sm *Instance) Scheduler() sched.Scheduler { return sm.schedule }
-
-// Machine exposes the cluster (read-mostly; used by tests and meta).
-func (sm *Instance) Machine() *cluster.Machine { return sm.machine }
 
 // SubmitAt schedules job j to arrive at time t.
 //
@@ -246,16 +248,6 @@ func (sm *Instance) Outcomes() []metrics.Outcome {
 	return out
 }
 
-// RunningStart returns the start time of a currently running job
-// (second return false if not running).
-func (sm *Instance) RunningStart(id int64) (int64, bool) {
-	rs, ok := sm.running[id]
-	if !ok {
-		return 0, false
-	}
-	return rs.start, true
-}
-
 // ReservationOutcomes returns the reservation grant results so far.
 func (sm *Instance) ReservationOutcomes() []ReservationOutcome {
 	return append([]ReservationOutcome(nil), sm.resvResults...)
@@ -265,26 +257,9 @@ func (sm *Instance) ReservationOutcomes() []ReservationOutcome {
 // the current instant (the replay kernel schedules these from the
 // outage log).
 func (sm *Instance) announceOutage(win sched.Window, announced int64) {
-	if n := len(sm.outageWins); n > 0 && win.Start < sm.outageWins[n-1].win.Start {
-		sm.outStartSorted = false
-	}
-	sm.outageWins = append(sm.outageWins, timedWindow{win: win, announced: announced})
-	sm.outMemoUntil = 0
+	sm.outages.add(win, announced)
 	sm.winEpoch++
 	sm.notifyChange()
-}
-
-// CanReserve reports whether an advance reservation request is feasible
-// against the current availability profile (running jobs' estimated
-// completions plus already-accepted windows). Meta-schedulers call this
-// before Reserve.
-func (sm *Instance) CanReserve(r sched.Reservation) bool {
-	if r.Procs > sm.machine.Total() {
-		return false
-	}
-	p := sched.BuildProfile(sm)
-	start := p.EarliestFit(r.Start, r.End-r.Start, r.Procs)
-	return start == r.Start
 }
 
 // Reserve accepts an advance reservation: it becomes visible to the
@@ -296,15 +271,7 @@ func (sm *Instance) Reserve(r sched.Reservation) int64 {
 		sm.nextResvID++
 		r.ID = sm.nextResvID
 	}
-	now := sm.engine.Now()
-	if n := len(sm.resvWins); n > 0 && r.Start < sm.resvWins[n-1].win.Start {
-		sm.resvStartSorted = false
-	}
-	sm.resvWins = append(sm.resvWins, timedWindow{
-		win:       sched.Window{Start: r.Start, End: r.End, Procs: r.Procs},
-		announced: now,
-	})
-	sm.resvMemoUntil = 0
+	sm.resvs.add(sched.Window{Start: r.Start, End: r.End, Procs: r.Procs}, sm.engine.Now())
 	sm.winEpoch++
 	sm.engine.At(r.Start, des.PriorityOutage, func() { sm.claimReservation(r) })
 	sm.notifyChange()
@@ -588,14 +555,10 @@ func (sm *Instance) SubmitEpoch() uint64 { return sm.submitEpoch }
 // Running implements sched.Context. The returned slice is a reused
 // buffer, valid only until the next Running() call on this instance.
 func (sm *Instance) Running() []sched.RunningJob {
-	if sm.runBufEpoch == sm.runEpoch {
-		return sm.runBuf
-	}
 	sm.runBuf = sm.runBuf[:0]
 	for _, rs := range sm.runOrder {
 		sm.runBuf = append(sm.runBuf, sched.RunningJob{Job: rs.job, Size: rs.size, Start: rs.start, ExpEnd: rs.expEnd})
 	}
-	sm.runBufEpoch = sm.runEpoch
 	return sm.runBuf
 }
 
@@ -665,24 +628,19 @@ func (sm *Instance) Estimate(j *core.Job) int64 {
 
 // Outages implements sched.Context. The returned slice is a reused
 // buffer, valid only until the next Outages() call on this instance.
-func (sm *Instance) Outages() []sched.Window {
-	now := sm.engine.Now()
-	if now >= sm.outMemoUntil {
-		sm.outageWins, sm.outBuf, sm.outMemoUntil = visibleWindows(sm.outageWins, sm.outBuf[:0], now, sm.outStartSorted)
-		sm.winEpoch++
-	}
-	return sm.outBuf
-}
+func (sm *Instance) Outages() []sched.Window { return sm.visible(&sm.outages) }
 
 // Reservations implements sched.Context. The returned slice is a
 // reused buffer, valid only until the next Reservations() call.
-func (sm *Instance) Reservations() []sched.Window {
-	now := sm.engine.Now()
-	if now >= sm.resvMemoUntil {
-		sm.resvWins, sm.resvBuf, sm.resvMemoUntil = visibleWindows(sm.resvWins, sm.resvBuf[:0], now, sm.resvStartSorted)
+func (sm *Instance) Reservations() []sched.Window { return sm.visible(&sm.resvs) }
+
+// visible refreshes l for the current instant, advancing winEpoch if it
+// rescanned, and returns its visible windows.
+func (sm *Instance) visible(l *windowList) []sched.Window {
+	if l.refresh(sm.engine.Now()) {
 		sm.winEpoch++
 	}
-	return sm.resvBuf
+	return l.buf
 }
 
 // WindowsEpoch implements sched.WindowEpoch: it refreshes both window
@@ -691,15 +649,8 @@ func (sm *Instance) Reservations() []sched.Window {
 // element-identical slices, letting profile builders reuse window work
 // without re-reading the sets.
 func (sm *Instance) WindowsEpoch() uint64 {
-	now := sm.engine.Now()
-	if now >= sm.outMemoUntil {
-		sm.outageWins, sm.outBuf, sm.outMemoUntil = visibleWindows(sm.outageWins, sm.outBuf[:0], now, sm.outStartSorted)
-		sm.winEpoch++
-	}
-	if now >= sm.resvMemoUntil {
-		sm.resvWins, sm.resvBuf, sm.resvMemoUntil = visibleWindows(sm.resvWins, sm.resvBuf[:0], now, sm.resvStartSorted)
-		sm.winEpoch++
-	}
+	sm.visible(&sm.outages)
+	sm.visible(&sm.resvs)
 	return sm.winEpoch
 }
 
@@ -768,7 +719,7 @@ func visibleWindows(wins []timedWindow, buf []sched.Window, now int64, startSort
 // generic path would append, in the same order, so decisions are
 // bit-identical.
 //
-//schedlint:hotpath every profile rebuild re-derives its visible window set here
+//schedlint:hotpath a window list re-derives its visible set here once its memo bound passes: 144 of 213 rescans per windows-burst-consw op, against 8,712 profile builds
 func visibleWindowsSorted(wins []timedWindow, buf []sched.Window, now int64) ([]timedWindow, []sched.Window, int64) {
 	until := int64(1) << 62
 	lo := 0
@@ -843,15 +794,12 @@ func (sm *Instance) finishJob(id int64) {
 
 // terminate ends job for good (completion or permanent drop) with final
 // outcome o: it releases the job's feedback dependents, hands o to the
-// observers and FinishHook, tells the scheduler, and recycles the
-// storage the simulator owns — o under pruneFinal, and the job's slot
-// once OnFinish has returned.
+// observers, tells the scheduler, and recycles the storage the
+// simulator owns — o under pruneFinal, and the job's slot once OnFinish
+// has returned.
 func (sm *Instance) terminate(job *core.Job, o *metrics.Outcome) {
 	sm.releaseDependents(job)
 	sm.emit(*o)
-	if sm.FinishHook != nil {
-		sm.FinishHook(job, *o)
-	}
 	if sm.pruneFinal {
 		delete(sm.outcomes, job.ID)
 		sm.outcomeSlab.put(o) //schedlint:allow escape free list, inlined here: one block on its first free, then grown only with the peak in-flight population
