@@ -1,6 +1,6 @@
 // Command schedlint runs the repository's custom static-analysis
 // suite — the determinism contracts every reported result depends on,
-// and the allocgate performance contracts guarding the
+// and the escape ratchet over the compiler's heap diagnostics in the
 // //schedlint:hotpath kernels — over the given packages.
 //
 // Usage:
@@ -10,6 +10,9 @@
 // Packages default to ./... relative to the current directory. The
 // exit status is 1 when any finding survives the //schedlint:allow
 // directives, 2 on usage or load errors, so CI fails on findings.
+// -only runs a subset of the checks; directives are still validated
+// against the whole suite, so those of the checks left out are not
+// findings, while a directive naming no check of the suite is.
 //
 // -hotpaths switches to the audit mode: instead of linting, print the
 // whole-program propagated hot set, one function per line with the
@@ -19,15 +22,16 @@
 // (package, func, root, chain, root/redundant flags). Baseline and
 // annotation audits read this instead of the graph code.
 //
-// The escape analyzer checks the compiler's -m diagnostics against the
-// sanctioned-escapes baseline (-baseline; defaults to ESCAPES.baseline
-// at the module root). New hot-path escapes are findings; escapes the
-// baseline sanctions but the compiler no longer emits are stale
-// findings too, so the ratchet only tightens — run -update-baseline to
-// rewrite the baseline to the current state after benchmarking the
-// change. -json emits one finding per line as JSON (analyzer, pos,
-// message, suppressed), including the //schedlint:allow-suppressed
-// findings machine consumers may want to audit.
+// The escape analyzer checks the compiler's -m heap diagnostics
+// (escapes to heap, moved to heap) against the sanctioned-escapes
+// baseline (-baseline; defaults to ESCAPES.baseline at the module
+// root). New hot-path escapes are findings; escapes the baseline
+// sanctions but the compiler no longer emits are stale findings too,
+// so the ratchet only tightens — run -update-baseline to rewrite the
+// baseline to the current state after benchmarking the change. -json
+// emits one finding per line as JSON (analyzer, pos, message,
+// suppressed), including the //schedlint:allow-suppressed findings
+// machine consumers may want to audit.
 //
 // The suite is built on internal/analysis/framework, a stdlib-only
 // mirror of golang.org/x/tools/go/analysis (the build environment is
@@ -67,16 +71,17 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := analysis.Analyzers()
+	suite := analysis.Analyzers()
+	analyzers := suite
 	if *listFlag {
-		for _, a := range analyzers {
+		for _, a := range suite {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
 	if *only != "" {
 		byName := map[string]*framework.Analyzer{}
-		for _, a := range analyzers {
+		for _, a := range suite {
 			byName[a.Name] = a
 		}
 		var subset []*framework.Analyzer
@@ -118,7 +123,7 @@ func main() {
 		printHotpaths(pkgs, *jsonFlag)
 		return
 	}
-	diags, fset, err := framework.RunAll(pkgs, analyzers)
+	diags, fset, err := framework.RunAll(pkgs, analyzers, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedlint:", err)
 		os.Exit(2)

@@ -1,8 +1,8 @@
 // Package callgraph is the interprocedural layer of the schedlint
 // framework: a whole-program call graph over the loader's from-source
-// type information, plus the hot-path reachability pass the
-// performance-contract analyzers (escape, allocfree, locks) and the
-// dataflow analyzers (seedflow) share.
+// type information, plus the hot-path reachability pass the escape
+// analyzer scopes its ratchet by and the dataflow analyzer (seedflow)
+// shares.
 //
 // A function is a hot-path root when its declaration's doc comment
 // carries the directive
@@ -78,8 +78,6 @@ const ColdDirective = "//schedlint:coldpath"
 type Node struct {
 	// Fn is the type-checker's object for the function.
 	Fn *types.Func
-	// Decl is its declaration.
-	Decl *ast.FuncDecl
 	// Root reports that the declaration carries the hotpath directive.
 	Root bool
 	// Cold reports that the declaration carries the coldpath directive:
@@ -101,6 +99,7 @@ type Node struct {
 	// packages.
 	Callees []*Node
 
+	decl      *ast.FuncDecl
 	calleeSet map[*Node]bool
 }
 
@@ -343,7 +342,7 @@ func newGraph(files []*ast.File, pkg *types.Package, path string, info *types.In
 			if !ok {
 				continue
 			}
-			n := &Node{Fn: fn, Decl: fd, Root: hasDirective(fd, HotDirective), Cold: hasDirective(fd, ColdDirective), calleeSet: map[*Node]bool{}}
+			n := &Node{Fn: fn, decl: fd, Root: hasDirective(fd, HotDirective), Cold: hasDirective(fd, ColdDirective), calleeSet: map[*Node]bool{}}
 			g.nodes[fn] = n
 			g.order = append(g.order, n)
 			if n.Root {
@@ -422,11 +421,11 @@ func resolve(fn *types.Func, idx methodIndex, lookup func(*types.Func) *Node) []
 // program-wide for whole-program ones.
 func addEdges(g *Graph, idx methodIndex, lookup func(*types.Func) *Node) {
 	for _, n := range g.order {
-		if n.Decl.Body == nil {
+		if n.decl.Body == nil {
 			continue
 		}
 		caller := n
-		WalkLive(g.info, n.Decl.Body, func(node ast.Node) {
+		walkLive(g.info, n.decl.Body, func(node ast.Node) {
 			call, ok := node.(*ast.CallExpr)
 			if !ok {
 				return
@@ -539,7 +538,7 @@ func (g *Graph) Resolve(fn *types.Func) []*Node {
 // initializers).
 func (g *Graph) Enclosing(pos token.Pos) *Node {
 	for _, n := range g.order {
-		if n.Decl.Pos() <= pos && pos <= n.Decl.End() {
+		if n.decl.Pos() <= pos && pos <= n.decl.End() {
 			return n
 		}
 	}
@@ -560,11 +559,10 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-// WalkLive walks the AST under n, pruning branches that are dead under
+// walkLive walks the AST under n, pruning branches that are dead under
 // a constant condition: `if debugchecks.Enabled { ... }` contributes no
-// edges (and, for the analyzers that share this walker, no findings)
-// when Enabled is the constant false of an untagged build.
-func WalkLive(info *types.Info, n ast.Node, visit func(ast.Node)) {
+// edges when Enabled is the constant false of an untagged build.
+func walkLive(info *types.Info, n ast.Node, visit func(ast.Node)) {
 	var walk func(ast.Node) bool
 	walk = func(node ast.Node) bool {
 		if node == nil {

@@ -10,9 +10,9 @@ import (
 	"parsched/internal/analysis/load"
 )
 
-// TestEscapeFixtures pins the finding surface: escapes and inlining
-// losses in hot-path-reachable functions are reported, cold code and
-// allow-sanctioned lines are not.
+// TestEscapeFixtures pins the finding surface: heap escapes in
+// hot-path-reachable functions are reported; inlining losses, cold code
+// and allow-sanctioned lines are not.
 func TestEscapeFixtures(t *testing.T) {
 	escape.ResetCollection()
 	escape.BaselinePath = ""

@@ -145,10 +145,11 @@ type Diagnostic struct {
 
 // Run applies every analyzer to every package, filters suppressed
 // findings through the allow directives, validates the directives
-// themselves, and returns the surviving diagnostics sorted by
-// position. The returned fset resolves their positions.
+// themselves against the analyzers run, and returns the surviving
+// diagnostics sorted by position. The returned fset resolves their
+// positions.
 func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	all, fset, err := RunAll(pkgs, analyzers)
+	all, fset, err := RunAll(pkgs, analyzers, analyzers)
 	if err != nil {
 		return nil, fset, err
 	}
@@ -163,12 +164,15 @@ func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, *token.File
 
 // RunAll is Run keeping suppressed findings: every diagnostic covered
 // by an allow directive is returned with Suppressed set instead of
-// being dropped.
-func RunAll(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
+// being dropped. It runs analyzers, a subset of suite, and validates
+// the directives against the whole suite, so a run of one check does
+// not flag the directives of the checks it skips, while a directive
+// naming no check of the suite is still a finding.
+func RunAll(pkgs []*load.Package, analyzers, suite []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
 	var diags []Diagnostic
 	var fset *token.FileSet
 	known := map[string]bool{}
-	for _, a := range analyzers {
+	for _, a := range suite {
 		known[a.Name] = true
 	}
 	prog := NewProgram(pkgs)

@@ -6,6 +6,8 @@ import (
 	"go/token"
 	"strings"
 	"testing"
+
+	"parsched/internal/analysis/load"
 )
 
 func parse(t *testing.T, src string) (*token.FileSet, *ast.File) {
@@ -45,6 +47,32 @@ var d int
 		if !strings.Contains(got[i].Message, want) {
 			t.Errorf("finding %d = %q, want substring %q", i, got[i].Message, want)
 		}
+	}
+}
+
+// TestSubsetRunKnowsTheSuite runs one check of a two-check suite, as
+// `schedlint -only` does, over directives naming the check run, the
+// check skipped and a check outside the suite: only the last is a
+// finding.
+func TestSubsetRunKnowsTheSuite(t *testing.T) {
+	fset, f := parse(t, `package p
+
+var a int //schedlint:allow run a reason
+
+var b int //schedlint:allow skipped a reason
+
+var c int //schedlint:allow gone a reason
+`)
+	noop := func(*Pass) error { return nil }
+	run := &Analyzer{Name: "run", Run: noop}
+	skipped := &Analyzer{Name: "skipped", Run: noop}
+	pkgs := []*load.Package{{Path: "p", Fset: fset, Files: []*ast.File{f}}}
+	diags, _, err := RunAll(pkgs, []*Analyzer{run}, []*Analyzer{run, skipped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, `unknown check "gone"`) {
+		t.Fatalf("findings %v, want exactly one naming the unknown check \"gone\"", diags)
 	}
 }
 

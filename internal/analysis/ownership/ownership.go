@@ -20,10 +20,9 @@
 // The reason is mandatory — the directive documents the protocol that
 // makes the sharing safe (a WaitGroup barrier, an index-partitioned
 // results slice), and an unexplained one is itself a finding. The
-// simulator kernels are single-threaded by contract (the locks
-// analyzer enforces that); this analyzer patrols the boundary code
-// that is allowed to fan out: the batch experiment runner and the
-// command-line drivers.
+// simulator kernels are single-threaded by contract; this analyzer
+// patrols the boundary code that is allowed to fan out: the batch
+// experiment runner and the command-line drivers.
 package ownership
 
 import (

@@ -243,7 +243,7 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) 
 		panic("cluster: allocation with zero owner")
 	}
 	if _, dup := m.owners[owner]; dup {
-		panic(fmt.Sprintf("cluster: owner %d already holds an allocation", owner)) //schedlint:allow allocfree panic path: caller misuse, unreachable in a correct simulation
+		panic(fmt.Sprintf("cluster: owner %d already holds an allocation", owner))
 	}
 	if count <= 0 {
 		panic("cluster: non-positive allocation size")
@@ -266,7 +266,7 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) 
 		m.spanPool[n-1] = nil
 		m.spanPool = m.spanPool[:n-1]
 	} else {
-		spans = make([]span, 0, 8) //schedlint:allow allocfree pool warm-up: the list is recycled through spanPool once its owner is released
+		spans = make([]span, 0, 8)
 	}
 	need := count
 	for ci := m.firstClass(minMem); ci < len(m.classes) && need > 0; ci++ {
@@ -285,7 +285,7 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) 
 				w, k = lowestBits(w, need), need
 			}
 			c.free[wi] &^= w
-			spans = append(spans, span{class: int32(ci), word: int32(wi), mask: w}) //schedlint:allow allocfree appends into a pooled span list; it grows only until the pool holds lists as long as the most fragmented allocation
+			spans = append(spans, span{class: int32(ci), word: int32(wi), mask: w})
 			taken += k
 			need -= k
 		}
@@ -320,7 +320,7 @@ func nodeList(spans []span) []int {
 		n += bits.OnesCount64(s.mask)
 	}
 	//schedlint:allow escape the list is the caller's to keep; the simulator claims and releases through Claim and ReleaseQuiet, which build none
-	out := make([]int, 0, n) //schedlint:allow allocfree the list is the caller's to keep; the simulator claims and releases through Claim and ReleaseQuiet, which build none
+	out := make([]int, 0, n)
 	for _, s := range spans {
 		for w := s.mask; w != 0; w &= w - 1 {
 			out = append(out, int(s.word)<<6|bits.TrailingZeros64(w))
@@ -366,7 +366,7 @@ func (m *Machine) ReleaseQuiet(owner int64) bool {
 		m.inUse -= k
 	}
 	delete(m.owners, owner)
-	m.spanPool = append(m.spanPool, spans) //schedlint:allow allocfree pool spine: amortized doubling of the recycled-list stack, bounded by peak concurrent owners
+	m.spanPool = append(m.spanPool, spans) // bounded by the peak number of concurrent owners
 	m.check()
 	return true
 }
@@ -475,7 +475,7 @@ func (m *Machine) dropNode(o int64, k int, b uint64) {
 		return
 	}
 	delete(m.owners, o)
-	m.spanPool = append(m.spanPool, spans) //schedlint:allow allocfree pool spine: amortized doubling of the recycled-list stack, bounded by peak concurrent owners
+	m.spanPool = append(m.spanPool, spans) // bounded by the peak number of concurrent owners
 }
 
 // Owners returns the active owners, ascending.
@@ -583,13 +583,13 @@ func (m *Machine) check() {
 // recomputation. Shared by check and Validate.
 func (m *Machine) validateCached() error {
 	if got := m.scanUp(); got != m.up {
-		return fmt.Errorf("cached up=%d, scan=%d", m.up, got) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+		return fmt.Errorf("cached up=%d, scan=%d", m.up, got)
 	}
 	if got := m.scanInUse(); got != m.inUse {
-		return fmt.Errorf("cached inUse=%d, scan=%d", m.inUse, got) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+		return fmt.Errorf("cached inUse=%d, scan=%d", m.inUse, got)
 	}
 	if got := m.scanFreeWithMem(0); got != m.nFree {
-		return fmt.Errorf("cached free=%d, scan=%d", m.nFree, got) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+		return fmt.Errorf("cached free=%d, scan=%d", m.nFree, got)
 	}
 	total := 0
 	for ci := range m.classes {
@@ -599,7 +599,7 @@ func (m *Machine) validateCached() error {
 			pop += bits.OnesCount64(w)
 		}
 		if pop != c.count {
-			return fmt.Errorf("class %d (mem %d) count=%d, popcount=%d", ci, c.mem, c.count, pop) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+			return fmt.Errorf("class %d (mem %d) count=%d, popcount=%d", ci, c.mem, c.count, pop)
 		}
 		total += pop
 	}
@@ -607,13 +607,13 @@ func (m *Machine) validateCached() error {
 	// totalling exactly the free count leave no stray bit in another
 	// class or past the machine's last node.
 	if total != m.nFree {
-		return fmt.Errorf("class free lists hold %d nodes, cached free=%d", total, m.nFree) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+		return fmt.Errorf("class free lists hold %d nodes, cached free=%d", total, m.nFree)
 	}
 	owned := m.ownedBits()
 	for i, ci := range m.classOf {
 		free := !has(m.down, i) && !has(owned, i)
 		if got := has(m.classes[ci].free, i); got != free {
-			return fmt.Errorf("node %d free-bit=%v, state free=%v", i, got, free) //schedlint:allow allocfree debug-check failure path: runs only once an invariant is already broken
+			return fmt.Errorf("node %d free-bit=%v, state free=%v", i, got, free)
 		}
 	}
 	return nil

@@ -183,7 +183,7 @@ func pushBack[T any](q, buf []T, v T) ([]T, []T) {
 		if 2*len(q) <= cap(buf) {
 			q = buf[:copy(buf[:cap(buf)], q)]
 		} else {
-			q = append(make([]T, 0, 2*cap(buf)), q...) //schedlint:allow allocfree queue growth: buf doubles, so this happens only while the peak queue length grows
+			q = append(make([]T, 0, 2*cap(buf)), q...)
 		}
 	}
 	q = append(q, v)
@@ -286,8 +286,13 @@ func (e *EASY) schedule(ctx Context) {
 	// CanStart's free count only falls within a pass, and both FitsAt
 	// and the shadow gates are monotone false-ward as now advances over
 	// a fixed stamp). Only reservation carves — which walk does, this
-	// path never — leave the profile genuinely mutated.
-	if e.sweepOK = !p.Mutated(); e.sweepOK {
+	// path never — leave the profile genuinely mutated. The shadow gates
+	// only harden if the shadow stays put, and a shadow at now does not:
+	// it is a head the profile fits but CanStart refuses (memory-aware
+	// placement), and a later pass over the same stamp can find its
+	// shadow past a capacity window and backfill more. So such a sweep
+	// records no memo.
+	if e.sweepOK = !p.Mutated() && shadow > now; e.sweepOK {
 		e.sweepStamp = p.Stamp()
 		e.sweepLen = len(e.queue)
 	}

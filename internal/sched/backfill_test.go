@@ -462,3 +462,59 @@ func TestDeepReserveStartsAfterPhaseOneJobFinishes(t *testing.T) {
 		})
 	}
 }
+
+// memoContext is the mock with a stamped window set, without which
+// EASY's swept-queue memo never hits, and a CanStart that refuses the
+// jobs in refuse, as memory-aware placement refuses a job whose memory
+// request no free node meets.
+type memoContext struct {
+	*mockContext
+	refuse map[int64]bool
+}
+
+// WindowsEpoch implements WindowEpoch: the window set never changes.
+func (c memoContext) WindowsEpoch() uint64 { return 1 }
+
+func (c memoContext) CanStart(j *core.Job, size int) bool {
+	return !c.refuse[j.ID] && c.mockContext.CanStart(j, size)
+}
+
+// TestSweptQueueMemoNeedsAFutureShadow: on 8 processors, job 1 (2
+// procs, 100 s) runs and a 6-proc reservation holds [205, 300). Job 2
+// (4 procs, 200 s) fits the profile at t=0 but CanStart refuses it, so
+// its shadow is now and job 3 (3 procs, 50 s) may not backfill. At
+// t=10 job 4 arrives; job 2 no longer fits before the reservation, its
+// shadow moves to 300, and job 3, which ends before that, must start.
+// A sweep memo recorded at t=0 would skip job 3. The case runs through
+// the stamped mock and with the stamps hidden.
+func TestSweptQueueMemoNeedsAFutureShadow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(Scheduler) Scheduler
+	}{
+		{"stamped", func(s Scheduler) Scheduler { return s }},
+		{"stampless", func(s Scheduler) Scheduler { return stampless{s} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMock(8)
+			m.resv = []Window{{Start: 205, End: 300, Procs: 6}}
+			ctx := memoContext{m, map[int64]bool{2: true}}
+			s := tc.wrap(&EASY{Windows: true})
+			submit := func(j *core.Job) {
+				m.subEpoch++
+				s.OnSubmit(ctx, j)
+			}
+			for _, j := range []*core.Job{job(1, 0, 2, 100), job(2, 0, 4, 200), job(3, 0, 3, 50)} {
+				submit(j)
+			}
+			if got := fmt.Sprint(m.started); got != "[1]" {
+				t.Fatalf("only job 1 should start at t=0, started %s", got)
+			}
+			m.advance(10)
+			submit(job(4, 10, 8, 100))
+			if got := fmt.Sprint(m.started); got != "[1 3]" {
+				t.Fatalf("job 3 should backfill ahead of job 2's shadow at 300, started %s", got)
+			}
+		})
+	}
+}

@@ -97,7 +97,7 @@ func (l *resvLedger) beginPass() {
 
 // add records one walked job's outcome.
 func (l *resvLedger) add(j *core.Job, est int64, start int64) {
-	l.entries = append(l.entries, ledgerEntry{id: j.ID, est: est, size: j.Size, start: start}) //schedlint:allow allocfree amortized doubling of the reused ledger entries, not a per-pass allocation
+	l.entries = append(l.entries, ledgerEntry{id: j.ID, est: est, size: j.Size, start: start})
 	if start >= 0 && start < l.minStart {
 		l.minStart = start
 	}
@@ -113,8 +113,8 @@ func (l *resvLedger) commit(ctx Context, p *Profile, queueGen uint64, queued int
 		l.ok = false
 		return
 	}
-	l.times = append(l.times[:0], p.times...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
-	l.frees = append(l.frees[:0], p.frees...) //schedlint:allow allocfree amortized doubling of the reused ledger snapshot, not a per-pass allocation
+	l.times = append(l.times[:0], p.times...)
+	l.frees = append(l.frees[:0], p.frees...)
 	l.stamp = p.Stamp()
 	l.mut = p.Mutated()
 	l.queueGen = queueGen

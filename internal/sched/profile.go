@@ -396,8 +396,8 @@ func buildProfile(p *Profile, ctx Context, windows bool) *Profile {
 	// rate.
 	need := 1 + len(running) + len(p.winT)
 	if cap(p.times) < need {
-		p.times = append(p.times[:cap(p.times)], make([]int64, need-cap(p.times))...) //schedlint:allow allocfree amortized doubling of the reused profile arrays, not a per-pass allocation
-		p.frees = append(p.frees[:cap(p.frees)], make([]int, need-cap(p.frees))...)   //schedlint:allow allocfree amortized doubling of the reused profile arrays, not a per-pass allocation
+		p.times = append(p.times[:cap(p.times)], make([]int64, need-cap(p.times))...)
+		p.frees = append(p.frees[:cap(p.frees)], make([]int, need-cap(p.frees))...)
 	}
 	times, frees := p.times[:need], p.frees[:need]
 	times[0], frees[0] = now, free
@@ -491,8 +491,8 @@ func (p *Profile) rebuildWindowDeltas(now int64, outs, resvs []Window) {
 		if c < need {
 			c = need
 		}
-		p.winT = make([]int64, c) //schedlint:allow allocfree amortized doubling of the reused delta buffers, not a per-rebuild allocation
-		p.winV = make([]int, c)   //schedlint:allow allocfree amortized doubling of the reused delta buffers, not a per-rebuild allocation
+		p.winT = make([]int64, c)
+		p.winV = make([]int, c)
 	}
 	winT, winV := p.winT[:need], p.winV[:need]
 	n := 0

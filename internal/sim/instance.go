@@ -156,12 +156,12 @@ func (l *windowList) refresh(now int64) bool {
 // beyond core.MaxMachine is an error before anything is allocated.
 func NewInstance(engine *des.Engine, name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
 	if err := core.CheckMachine(maxNodes); err != nil {
-		return nil, fmt.Errorf("sim: %w", err) //schedlint:allow allocfree setup error path: once per instance, before any event fires
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	var machine *cluster.Machine
 	if opts.NodeMem != nil {
 		if len(opts.NodeMem) != maxNodes {
-			return nil, fmt.Errorf("sim: NodeMem has %d entries for %d nodes", len(opts.NodeMem), maxNodes) //schedlint:allow allocfree setup error path: once per instance, before any event fires
+			return nil, fmt.Errorf("sim: NodeMem has %d entries for %d nodes", len(opts.NodeMem), maxNodes)
 		}
 		machine = cluster.NewHeterogeneous(opts.NodeMem)
 	} else {
@@ -173,9 +173,9 @@ func NewInstance(engine *des.Engine, name string, maxNodes int, s sched.Schedule
 		machine:    machine,
 		schedule:   s,
 		opts:       opts,
-		running:    map[int64]*runState{},        //schedlint:allow allocfree setup: instance maps built once per run
-		outcomes:   map[int64]*metrics.Outcome{}, //schedlint:allow allocfree setup: instance maps built once per run
-		dependents: map[int64][]*core.Job{},      //schedlint:allow allocfree setup: instance maps built once per run
+		running:    map[int64]*runState{},
+		outcomes:   map[int64]*metrics.Outcome{},
+		dependents: map[int64][]*core.Job{},
 	}, nil
 }
 
@@ -453,10 +453,10 @@ func (sm *Instance) memNeed(j *core.Job) int64 {
 // Start implements sched.Context.
 func (sm *Instance) Start(j *core.Job, size int) {
 	if _, dup := sm.running[j.ID]; dup {
-		panic(fmt.Sprintf("sim: job %d started twice", j.ID)) //schedlint:allow allocfree panic path: scheduler contract violation, unreachable in a correct simulation
+		panic(fmt.Sprintf("sim: job %d started twice", j.ID))
 	}
 	if !sm.machine.Claim(j.ID, size, sm.memNeed(j)) {
-		panic(fmt.Sprintf("sim: scheduler started job %d (size %d) without capacity", j.ID, size)) //schedlint:allow allocfree panic path: scheduler contract violation, unreachable in a correct simulation
+		panic(fmt.Sprintf("sim: scheduler started job %d (size %d) without capacity", j.ID, size))
 	}
 	now := sm.engine.Now()
 	actual := j.RuntimeOn(size)
@@ -481,7 +481,7 @@ func (sm *Instance) Start(j *core.Job, size int) {
 // StartShared implements sched.Context.
 func (sm *Instance) StartShared(j *core.Job, rate float64) {
 	if _, dup := sm.running[j.ID]; dup {
-		panic(fmt.Sprintf("sim: job %d started twice", j.ID)) //schedlint:allow allocfree panic path: scheduler contract violation, unreachable in a correct simulation
+		panic(fmt.Sprintf("sim: job %d started twice", j.ID))
 	}
 	now := sm.engine.Now()
 	rs := sm.allocRunState()
@@ -509,7 +509,7 @@ func (sm *Instance) StartShared(j *core.Job, rate float64) {
 func (sm *Instance) SetRate(j *core.Job, rate float64) {
 	rs, ok := sm.running[j.ID]
 	if !ok || !rs.shared {
-		panic(fmt.Sprintf("sim: SetRate on non-shared or unknown job %d", j.ID)) //schedlint:allow allocfree panic message; the formatting only runs on the way down
+		panic(fmt.Sprintf("sim: SetRate on non-shared or unknown job %d", j.ID))
 	}
 	sm.setRate(rs, rate)
 }
@@ -609,7 +609,7 @@ func (sm *Instance) insertRunning(rs *runState) {
 func (sm *Instance) removeRunning(rs *runState) {
 	i := sort.Search(len(sm.runOrder), func(k int) bool { return !runBefore(sm.runOrder[k], rs) })
 	if i >= len(sm.runOrder) || sm.runOrder[i] != rs {
-		panic(fmt.Sprintf("sim: job %d missing from running order", rs.job.ID)) //schedlint:allow allocfree panic path: double-start guard, unreachable in a correct simulation
+		panic(fmt.Sprintf("sim: job %d missing from running order", rs.job.ID))
 	}
 	copy(sm.runOrder[i:], sm.runOrder[i+1:])
 	sm.runOrder[len(sm.runOrder)-1] = nil

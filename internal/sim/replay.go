@@ -25,7 +25,7 @@ import (
 // beyond core.MaxMachine is an error before the engine is sized.
 func newReplay(name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
 	if err := core.CheckMachine(maxNodes); err != nil {
-		return nil, fmt.Errorf("sim: %w", err) //schedlint:allow allocfree setup error path: rejects the machine before any event fires
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	engine := des.NewEngine(maxNodes + 2*len(opts.Reservations) + 64)
 	sm, err := NewInstance(engine, name, maxNodes, s, opts)
@@ -114,19 +114,19 @@ func (p *arrivalPump) pull() (*core.Job, error) {
 		}
 		p.yielded++
 		if j.ID != int64(p.yielded) {
-			return nil, fmt.Errorf("sim: stream job %d arrived in position %d; IDs must be sequential from 1", j.ID, p.yielded) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			return nil, fmt.Errorf("sim: stream job %d arrived in position %d; IDs must be sequential from 1", j.ID, p.yielded)
 		}
 		if j.Submit < p.prevSubmit {
-			return nil, fmt.Errorf("sim: stream job %d submitted at %d, before predecessor's %d", j.ID, j.Submit, p.prevSubmit) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			return nil, fmt.Errorf("sim: stream job %d submitted at %d, before predecessor's %d", j.ID, j.Submit, p.prevSubmit)
 		}
 		if j.Size < 1 || j.Size > p.sm.machine.Total() {
-			return nil, fmt.Errorf("sim: stream job %d: size %d outside machine of %d nodes", j.ID, j.Size, p.sm.machine.Total()) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			return nil, fmt.Errorf("sim: stream job %d: size %d outside machine of %d nodes", j.ID, j.Size, p.sm.machine.Total())
 		}
 		if j.Runtime < 0 {
-			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime)
 		}
 		if err := j.CheckTimes(); err != nil {
-			return nil, fmt.Errorf("sim: stream %w", err) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			return nil, fmt.Errorf("sim: stream %w", err)
 		}
 		p.prevSubmit = j.Submit
 		if p.sm.opts.Feedback && j.PrecedingJob > 0 {
@@ -206,7 +206,7 @@ func (p *arrivalPump) collect() (*Result, error) {
 	}
 	if sm.opts.DiscardOutcomes {
 		// Pruning left only the residual outcomes in the map.
-		ids := make([]int64, 0, len(sm.outcomes)) //schedlint:allow allocfree once per replay, sized after the event loop drains
+		ids := make([]int64, 0, len(sm.outcomes))
 		for id := range sm.outcomes {
 			ids = append(ids, id)
 		}
@@ -218,7 +218,7 @@ func (p *arrivalPump) collect() (*Result, error) {
 	}
 	// Submitted jobs hold IDs within 1..yielded, so walking the IDs keeps
 	// the outcomes in order without sorting the map's keys.
-	res.Outcomes = make([]metrics.Outcome, 0, len(sm.outcomes)) //schedlint:allow allocfree once per replay, the retained result itself
+	res.Outcomes = make([]metrics.Outcome, 0, len(sm.outcomes))
 	for id := int64(1); id <= int64(p.yielded); id++ {
 		if o, ok := sm.outcomes[id]; ok {
 			res.Outcomes = append(res.Outcomes, sm.settle(*o))
@@ -253,7 +253,7 @@ func scheduleSampling(engine *des.Engine, sm *Instance, opts Options) {
 	var samplers []SampleObserver
 	for _, ob := range opts.Observers {
 		if so, ok := ob.(SampleObserver); ok {
-			samplers = append(samplers, so) //schedlint:allow allocfree setup: observer fan-out assembled once per run
+			samplers = append(samplers, so)
 		}
 	}
 	if len(samplers) == 0 {
@@ -279,11 +279,11 @@ func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) error {
 	nodes := int64(sm.machine.Total())
 	for _, rec := range log.Records {
 		if rec.End < rec.Start {
-			return fmt.Errorf("sim: outage %d ends at %d, before its start at %d", rec.ID, rec.End, rec.Start) //schedlint:allow allocfree error path: a malformed outage log aborts the replay before its first event
+			return fmt.Errorf("sim: outage %d ends at %d, before its start at %d", rec.ID, rec.End, rec.Start)
 		}
 		for _, n := range rec.Nodes {
 			if n < 0 || n >= nodes {
-				return fmt.Errorf("sim: outage %d names node %d, outside the machine's %d nodes", rec.ID, n, nodes) //schedlint:allow allocfree error path: a malformed outage log aborts the replay before its first event
+				return fmt.Errorf("sim: outage %d names node %d, outside the machine's %d nodes", rec.ID, n, nodes)
 			}
 		}
 	}
@@ -308,9 +308,9 @@ func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) error {
 		var downs, ups []int
 		for _, ev := range evs[i:k] {
 			if ev.Down {
-				downs = append(downs, int(ev.Node)) //schedlint:allow allocfree setup: outage batches wired once per run, before the event loop
+				downs = append(downs, int(ev.Node))
 			} else {
-				ups = append(ups, int(ev.Node)) //schedlint:allow allocfree setup: outage batches wired once per run, before the event loop
+				ups = append(ups, int(ev.Node))
 			}
 		}
 		// A batch from before the log starts applies at time 0, ahead of

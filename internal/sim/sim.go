@@ -192,7 +192,7 @@ func Run(w *core.Workload, s sched.Scheduler, opts Options) (*Result, error) {
 //schedlint:hotpath entry point: streaming replay; taints des/sched/cluster/metrics/swf/trace cross-package
 func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, opts Options) (*Result, error) {
 	if opts.Feedback {
-		return nil, fmt.Errorf("sim: streaming replay does not support feedback (closed-loop) mode; use Run") //schedlint:allow allocfree setup error path: rejects the spec before any event fires
+		return nil, fmt.Errorf("sim: streaming replay does not support feedback (closed-loop) mode; use Run")
 	}
 	sm, err := newReplay(name, maxNodes, s, opts)
 	if err != nil {

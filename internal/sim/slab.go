@@ -36,7 +36,7 @@ func (s *slab[T]) get() *T {
 	}
 	if len(s.block) == 0 {
 		//schedlint:allow escape slab refill: one allocation per 256 elements of peak in-flight population
-		s.block = make([]T, slabBlock) //schedlint:allow allocfree slab refill: one allocation per 256 elements of peak in-flight population
+		s.block = make([]T, slabBlock)
 	}
 	p := &s.block[0]
 	s.block = s.block[1:]
@@ -52,7 +52,7 @@ func (s *slab[T]) put(p *T) {
 	}
 	if s.free == nil {
 		//schedlint:allow escape free list sized at one block on the first free; it grows only with the peak in-flight population
-		s.free = make([]*T, 0, slabBlock) //schedlint:allow allocfree free list sized at one block on the first free; it grows only with the peak in-flight population
+		s.free = make([]*T, 0, slabBlock)
 	}
 	s.free = append(s.free, p)
 }

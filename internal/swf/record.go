@@ -254,10 +254,10 @@ func parseRecord[T string | []byte](line T) (Record, error) {
 		n++
 	}
 	if n != NumFields {
-		return Record{}, fmt.Errorf("swf: record has %d fields, want %d", n, NumFields) //schedlint:allow allocfree error path: a malformed record aborts the scan
+		return Record{}, fmt.Errorf("swf: record has %d fields, want %d", n, NumFields)
 	}
 	if bad >= 0 {
-		return Record{}, fmt.Errorf("swf: field %d %q: not an integer", bad+1, string(line[badFrom:badTo])) //schedlint:allow allocfree error path: a malformed record aborts the scan
+		return Record{}, fmt.Errorf("swf: field %d %q: not an integer", bad+1, string(line[badFrom:badTo]))
 	}
 	// Filling an array and building the record once keeps setField's
 	// switch out of the scan loop, which measurably slows it.
@@ -279,12 +279,12 @@ func parseRecordUnicode(line string) (Record, error) {
 	var r Record
 	fields := strings.Fields(line)
 	if len(fields) != NumFields {
-		return r, fmt.Errorf("swf: record has %d fields, want %d", len(fields), NumFields) //schedlint:allow allocfree error path: a malformed record aborts the scan
+		return r, fmt.Errorf("swf: record has %d fields, want %d", len(fields), NumFields)
 	}
 	for i, f := range fields {
 		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
-			return r, fmt.Errorf("swf: field %d %q: not an integer", i+1, f) //schedlint:allow allocfree error path: a malformed record aborts the scan
+			return r, fmt.Errorf("swf: field %d %q: not an integer", i+1, f)
 		}
 		r.setField(i, v)
 	}

@@ -66,7 +66,7 @@ func (s *Scanner) Scan() bool {
 			// Comments (the header block) and lines led by a non-ASCII
 			// byte, which may be Unicode space before a ';', take the
 			// string path; data lines stay on the allocation-free kernel.
-			line := strings.TrimSpace(string(raw)) //schedlint:allow allocfree header comments and non-ASCII lines only; data lines never convert
+			line := strings.TrimSpace(string(raw))
 			if line == "" {
 				continue
 			}
@@ -81,14 +81,14 @@ func (s *Scanner) Scan() bool {
 			rec, err = parseRecord(raw[i:])
 		}
 		if err != nil {
-			s.err = fmt.Errorf("line %d: %w", s.lineNo, err) //schedlint:allow allocfree error path: a malformed header aborts the scan
+			s.err = fmt.Errorf("line %d: %w", s.lineNo, err)
 			return false
 		}
 		s.rec = rec
 		return true
 	}
 	if err := s.sc.Err(); err != nil {
-		s.err = fmt.Errorf("swf: read: %w", err) //schedlint:allow allocfree error path: a malformed record aborts the scan
+		s.err = fmt.Errorf("swf: read: %w", err)
 	}
 	return false
 }

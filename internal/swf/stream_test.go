@@ -70,22 +70,12 @@ func scanOf(t *testing.T, log *Log) *StreamStats {
 }
 
 func TestScanStatsRejectsUnsortedFixture(t *testing.T) {
-	st := scanOf(t, readFixture(t))
-	if st.Streamable {
+	// The per-record counters never depend on order; checkCleanStream
+	// holds them to Clean's even on the fallback verdict.
+	if checkCleanStream(t, renderLog(t, readFixture(t))) {
 		t.Fatal("mini.swf is unsorted; ScanStats must mark it non-streamable")
 	}
-	// The per-record counters never depend on order; they must agree
-	// with Clean even on the fallback verdict.
-	_, rep := Clean(readFixture(t))
-	if st.Report.Input != rep.Input ||
-		st.Report.DroppedPartials != rep.DroppedPartials ||
-		st.Report.DroppedNoRuntime != rep.DroppedNoRuntime ||
-		st.Report.DroppedNoProcs != rep.DroppedNoProcs ||
-		st.Report.ClampedCPU != rep.ClampedCPU ||
-		st.Report.Output != rep.Output {
-		t.Fatalf("per-record counters diverge:\nscan  %+v\nclean %+v", st.Report, rep)
-	}
-	if !st.Report.ResortedRecords {
+	if st := scanOf(t, readFixture(t)); !st.Report.ResortedRecords {
 		t.Fatal("ResortedRecords must be set for an unsorted log")
 	}
 }
@@ -104,23 +94,23 @@ func TestScanStatsRejectsFeedbackLogs(t *testing.T) {
 	}
 }
 
-// cleanEquiv asserts ScanStats reproduces Clean's report on a
-// streamable log and CleanStream reproduces its replayable records.
-func cleanEquiv(t *testing.T, log *Log) {
+// checkCleanStream holds the streaming clean of raw to the
+// materialized one, Read then Clean, which is the reference: ScanStats
+// fails exactly when Read does; on any log its drop counters,
+// DroppedNoSubmit and Jobs agree with Clean's; and on a log it marks
+// Streamable its whole report does, and CleanStream yields exactly
+// Clean's known-submit records, in order. It reports Streamable.
+func checkCleanStream(t *testing.T, raw []byte) bool {
 	t.Helper()
-	raw := renderLog(t, log)
-	clean, rep := Clean(log)
+	log, readErr := Read(bytes.NewReader(raw))
 	st, err := ScanStats(bytes.NewReader(raw))
+	if errText(err) != errText(readErr) {
+		t.Fatalf("ScanStats error %q, Read error %q\ninput %q", errText(err), errText(readErr), raw)
+	}
 	if err != nil {
-		t.Fatalf("ScanStats: %v", err)
+		return false
 	}
-	if !st.Streamable {
-		t.Fatalf("log should be streamable; stats %+v", st)
-	}
-	if st.Report != rep {
-		t.Fatalf("CleanReport diverges:\nscan  %+v\nclean %+v", st.Report, rep)
-	}
-
+	clean, rep := Clean(log)
 	// The materialized pipeline drops unknown-submit records after the
 	// clean (they sink to the back); the stream never emits them.
 	want := make([]Record, 0, len(clean.Records))
@@ -129,26 +119,65 @@ func cleanEquiv(t *testing.T, log *Log) {
 			want = append(want, r)
 		}
 	}
-	if st.Jobs != len(want) {
-		t.Fatalf("Jobs = %d, want %d", st.Jobs, len(want))
+	got := st.Report
+	if got.Input != rep.Input || got.Output != rep.Output ||
+		got.DroppedPartials != rep.DroppedPartials ||
+		got.DroppedNoRuntime != rep.DroppedNoRuntime ||
+		got.DroppedNoProcs != rep.DroppedNoProcs ||
+		got.ClampedCPU != rep.ClampedCPU ||
+		st.DroppedNoSubmit != len(clean.Records)-len(want) || st.Jobs != len(want) {
+		t.Fatalf("counters diverge: scan %+v (no-submit %d, jobs %d), clean %+v (no-submit %d, jobs %d)\ninput %q",
+			got, st.DroppedNoSubmit, st.Jobs, rep, len(clean.Records)-len(want), len(want), raw)
 	}
-
+	if !st.Streamable {
+		return false
+	}
+	if got != rep {
+		t.Fatalf("CleanReport diverges:\nscan  %+v\nclean %+v\ninput %q", got, rep, raw)
+	}
 	cs := NewCleanStream(bytes.NewReader(raw), st)
-	var got []Record
+	var recs []Record
 	for cs.Scan() {
-		got = append(got, cs.Record())
+		recs = append(recs, cs.Record())
 	}
 	if err := cs.Err(); err != nil {
-		t.Fatalf("CleanStream: %v", err)
+		t.Fatalf("CleanStream: %v\ninput %q", err, raw)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("CleanStream yielded %d records, want %d", len(got), len(want))
+	if len(recs) != len(want) {
+		t.Fatalf("CleanStream yielded %d records, want %d\ninput %q", len(recs), len(want), raw)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs:\nstream %+v\nclean  %+v", i, got[i], want[i])
+	for i := range recs {
+		if recs[i] != want[i] {
+			t.Fatalf("record %d differs:\nstream %+v\nclean  %+v\ninput %q", i, recs[i], want[i], raw)
 		}
 	}
+	return true
+}
+
+// cleanEquiv asserts that log is streamable and that its streaming
+// clean reproduces Clean's.
+func cleanEquiv(t *testing.T, log *Log) {
+	t.Helper()
+	if !checkCleanStream(t, renderLog(t, log)) {
+		t.Fatal("log should be streamable")
+	}
+}
+
+// FuzzCleanStream holds the streaming clean to Clean on any input
+// (checkCleanStream). The committed corpus in
+// testdata/fuzz/FuzzCleanStream, which plain go test runs too, holds
+// FuzzScanner's seeds and clean and dirty records of mini.swf.
+func FuzzCleanStream(f *testing.F) {
+	// Streamable, with an unknown submit, a partial and a repaired
+	// processor count among its records.
+	f.Add("; MaxNodes: 8\n" +
+		"1 100 -1 10 2 -1 -1 2 60 -1 1 1 1 -1 -1 -1 -1 -1\n" +
+		"2 -1 -1 10 2 -1 -1 2 60 -1 1 1 1 -1 -1 -1 -1 -1\n" +
+		"3 150 -1 20 -1 30 -1 6 60 -1 1 1 1 -1 -1 -1 -1 -1\n" +
+		"3 160 -1 5 2 -1 -1 2 60 -1 2 1 1 -1 -1 -1 -1 -1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		checkCleanStream(t, []byte(text))
+	})
 }
 
 func TestStreamingCleanMatchesCleanOnCleanedFixture(t *testing.T) {

@@ -11,10 +11,12 @@ import (
 	"parsched/internal/swf"
 )
 
-// fuzzNodes is the machine every fuzzed replay runs on. The log's
-// MaxNodes header is not trusted: the machine's tables grow with its
-// node count, so a fuzzed header could ask for any amount of memory.
-const fuzzNodes = 64
+// fuzzMaxNodes bounds the machine a fuzzed replay builds. FromLog
+// accepts machines up to core.MaxMachine nodes
+// (TestMachineBeyondBoundIsAnError covers that bound), but the
+// machine's tables grow with its node count, so larger fuzzed machines
+// are skipped to keep each execution small.
+const fuzzMaxNodes = 4096
 
 // hugeTimeLogs are logs with one time field near the int64 limit. Each
 // once panicked the simulator or corrupted a replay: the requested time
@@ -47,20 +49,16 @@ var hugeTimeLogs = []struct {
 `},
 }
 
-// replayableWorkload is the fuzzed pipeline up to the simulator: read,
-// clean and convert, on a machine of fuzzNodes nodes.
-func replayableWorkload(text string) (*core.Workload, error) {
+// unvalidatedWorkload reads, cleans and converts a log without
+// validating the result, so the simulator's own checks meet every
+// field the log holds.
+func unvalidatedWorkload(text string) (*core.Workload, error) {
 	log, err := swf.Read(strings.NewReader(text))
 	if err != nil {
 		return nil, err
 	}
 	clean, _ := swf.Clean(log)
-	w, err := core.FromSWF(clean)
-	if err != nil {
-		return nil, err
-	}
-	w.MaxNodes = fuzzNodes
-	return w, nil
+	return core.FromSWF(clean)
 }
 
 // TestHugeTimeFieldIsAnError replays each of hugeTimeLogs through the
@@ -70,7 +68,7 @@ func TestHugeTimeFieldIsAnError(t *testing.T) {
 	specs := []string{"easy", "cons", "easy(reserve=2)", "cons(window)", "gang"}
 	for _, c := range hugeTimeLogs {
 		t.Run(c.name, func(t *testing.T) {
-			w, err := replayableWorkload(c.text)
+			w, err := unvalidatedWorkload(c.text)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,19 +104,30 @@ func TestHugeTimeFieldIsAnError(t *testing.T) {
 }
 
 // FuzzSWFReplay holds the SWF log, an untrusted input, to one promise
-// end to end: read, cleaned, converted and replayed under EASY and
-// conservative backfilling, it yields a result or an error, never a
-// panic, and a result accounts for every job and reports a utilization
-// in [0, 1]. The committed corpus in testdata/fuzz/FuzzSWFReplay, which
-// plain go test runs too, holds the reproducers of
-// TestHugeTimeFieldIsAnError and clean and dirty records of mini.swf.
+// end to end: read and loaded by FromLog, on the machine it infers (the
+// MaxNodes header, widened to the widest job), and replayed under EASY
+// and conservative backfilling, it yields a result or an error, never
+// a panic, and a result accounts for every job and reports a
+// utilization in [0, 1]. The inferred machine may end inside an
+// allocation word or span several. The committed corpus in
+// testdata/fuzz/FuzzSWFReplay, which plain go test runs too, holds the
+// reproducers of TestHugeTimeFieldIsAnError and clean and dirty records
+// of mini.swf.
 func FuzzSWFReplay(f *testing.F) {
 	f.Add("; MaxNodes: 32\n1 0 -1 10 32 -1 -1 32 900 -1 1 1 2 27 1 1 -1 -1\n2 5157 -1 52 1 -1 -1 1 900 -1 1 3 4 1 1 1 -1 -1\n")
+	// A job wider than the header widens the machine to 130 nodes: two
+	// whole allocation words and part of a third.
+	f.Add("; MaxNodes: 70\n1 0 -1 100 65 -1 -1 65 200 -1 1 1 1 -1 -1 -1 -1 -1\n2 10 -1 50 130 -1 -1 130 60 -1 1 1 1 -1 -1 -1 -1 -1\n3 20 -1 30 6 -1 -1 6 60 -1 1 1 1 -1 -1 -1 -1 -1\n")
 	f.Fuzz(func(t *testing.T, text string) {
-		w, err := replayableWorkload(text)
+		log, err := swf.Read(strings.NewReader(text))
 		if err != nil {
 			return
 		}
+		src, err := FromLog("fuzz", log)
+		if err != nil || src.MaxNodes() > fuzzMaxNodes {
+			return
+		}
+		w := src.Workload(Options{})
 		for _, s := range []sched.Scheduler{sched.NewEASY(), sched.NewConservative()} {
 			res, err := sim.Run(w, s, sim.Options{})
 			if err != nil {
@@ -128,8 +137,8 @@ func FuzzSWFReplay(f *testing.F) {
 				t.Fatalf("%s: %d outcomes + %d never submitted for %d jobs\ninput %q",
 					s.Name(), len(res.Outcomes), res.NeverSubmitted, len(w.Jobs), text)
 			}
-			if u := res.Report(fuzzNodes).Utilization; !(u >= 0 && u <= 1) {
-				t.Fatalf("%s: utilization %v outside [0, 1]\ninput %q", s.Name(), u, text)
+			if u := res.Report(w.MaxNodes).Utilization; !(u >= 0 && u <= 1) {
+				t.Fatalf("%s: utilization %v outside [0, 1] on %d nodes\ninput %q", s.Name(), u, w.MaxNodes, text)
 			}
 		}
 	})

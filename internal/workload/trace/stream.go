@@ -140,7 +140,7 @@ func (r *JobReader) Next() (*core.Job, error) {
 		// The file changed (or was mis-scanned) between the statistics
 		// pass and the replay; refuse to feed an invalid arrival order
 		// into the simulator.
-		return nil, fmt.Errorf("trace: job %d: submit %d before predecessor's %d; file not streamable", //schedlint:allow allocfree error path: a failed read aborts the replay
+		return nil, fmt.Errorf("trace: job %d: submit %d before predecessor's %d; file not streamable",
 			rec.JobID, rec.Submit, r.prev)
 	}
 	r.prev = rec.Submit
