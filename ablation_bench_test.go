@@ -179,22 +179,3 @@ func BenchmarkAblationOutageReplay(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationMemAware measures allocation with per-node memory
-// constraints against the unconstrained allocator.
-func BenchmarkAblationMemAware(b *testing.B) {
-	w := lublin.Default().Generate(ModelConfig{
-		MaxNodes: 128, Jobs: 2000, Seed: 1234, Load: 0.8, Memory: true,
-	})
-	mems := make([]int64, 128)
-	for i := range mems {
-		mems[i] = int64(1+i%4) * 512 * 1024
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(w, sched.NewFirstFit(), sim.Options{NodeMem: mems, MemAware: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

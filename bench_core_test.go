@@ -129,19 +129,15 @@ func startedWaiting(res *sim.Result) (started, waiting int) {
 	return started, waiting
 }
 
-// BenchmarkAllocate512 exercises best-fit allocation on a 512-node
-// machine with four memory classes at ~50% occupancy: the allocator's
-// steady state during a backfilling run.
+// BenchmarkAllocate512 exercises allocation on a 512-node machine at
+// ~50% occupancy: the allocator's steady state during a backfilling
+// run.
 func BenchmarkAllocate512(b *testing.B) {
-	mems := make([]int64, 512)
-	for i := range mems {
-		mems[i] = int64(1024 << (i % 4)) // 1, 2, 4, 8 GB classes
-	}
-	m := cluster.NewHeterogeneous(mems)
-	// Pre-fill half the machine so Allocate works against a fragmented
+	m := cluster.New(512)
+	// Pre-fill half the machine so Allocate works against a partly used
 	// free set, as it does mid-simulation.
 	for o := int64(1); o <= 16; o++ {
-		if _, ok := m.Allocate(o, 16, 0); !ok {
+		if _, ok := m.Allocate(o, 16); !ok {
 			b.Fatal("prefill failed")
 		}
 	}
@@ -149,7 +145,7 @@ func BenchmarkAllocate512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		owner := int64(1000 + i)
-		if _, ok := m.Allocate(owner, 32, 2048); !ok {
+		if _, ok := m.Allocate(owner, 32); !ok {
 			b.Fatal("allocate failed")
 		}
 		m.Release(owner)

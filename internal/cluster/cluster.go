@@ -1,7 +1,6 @@
 // Package cluster models the parallel machine a machine scheduler
-// controls: a set of nodes with per-node memory configuration
-// (configuration heterogeneity in the paper's Section 4.1 taxonomy),
-// job allocations, and node up/down state driven by the outage log.
+// controls: a set of identical nodes, job allocations, and node up/down
+// state driven by the outage log.
 //
 // The machine is deliberately simple — distributed-memory space
 // slicing, one job per node — which is the machine model of the IBM SP
@@ -12,12 +11,12 @@
 //
 // Counting, allocation and release are the per-event hot path of the
 // simulator, so the machine keeps its state in 64-node words and never
-// touches a node on its own there: free-node bitsets bucketed by
-// distinct memory value (ascending), a down-node bitset, and cached
-// up/free/in-use counters adjusted by popcount. An owner's allocation
-// is a short list of spans, each one memory class's nodes within one
-// word, so claiming or freeing costs O(words spanned + classes), not
-// O(nodes taken). Which owner holds a given node matters only when that
+// touches a node on its own there: a free-node bitset, a down-node
+// bitset, and cached up/free/in-use counters adjusted by popcount. An
+// allocation takes the lowest-index free nodes, and an owner's
+// allocation is a short list of spans, its nodes within one word each,
+// so claiming or freeing costs O(words spanned), not O(nodes taken).
+// Which owner holds a given node matters only when that
 // node changes state (a node going down kills only the job on it), so
 // that question is answered by scanning the owner table, once per node
 // transition and never per job. The original O(N) scans are kept as
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"parsched/internal/debugchecks"
 )
@@ -38,7 +36,7 @@ import (
 const NoOwner int64 = 0
 
 // debugCheck, when true, makes every mutating operation cross-validate
-// the cached counters and free lists against a from-scratch scan.
+// the cached counters and the free set against a from-scratch scan.
 // Defaults to the debugchecks build tag (so `go test -tags debugchecks`
 // validates every machine in the whole test load); tests can also flip
 // it at runtime via EnableDebugChecks. Off in production builds because
@@ -61,41 +59,31 @@ func bit(i int) uint64 { return 1 << (uint(i) & 63) }
 // has reports whether node i is set in a node bitset.
 func has(set []uint64, i int) bool { return set[i>>6]&bit(i) != 0 }
 
-// memClass is the free list for one distinct memory value: a bitset of
-// free node indices (free = up and unowned) plus its population count.
-type memClass struct {
-	mem   int64
-	free  []uint64 // bit i set iff node i is free and in this class
-	count int
-}
-
-// span is one piece of an owner's allocation: the nodes of one memory
-// class within one 64-node word.
+// span is one piece of an owner's allocation: its nodes within one
+// 64-node word.
 type span struct {
-	class, word int32
-	mask        uint64
+	word int
+	mask uint64
 }
 
 // Machine is a space-sliced parallel computer.
 type Machine struct {
 	// owners maps each owner to its allocation, in the order allocate
-	// took it: classes ascending, words ascending within a class.
+	// took it: words ascending.
 	owners map[int64][]span
+	// free has bit i set iff node i is up and unowned.
+	free []uint64
 	// down has bit i set iff node i is down. A down node may still be
 	// in its owner's spans until the owner is released (the simulator
 	// kills the job) or the node comes back up.
 	down []uint64
 
+	nodes int // nodes, up or down
+
 	// Cached aggregates, maintained on every state transition.
 	up    int // nodes not down
 	inUse int // up nodes with an owner
 	nFree int // up nodes without an owner
-
-	// classes are the per-memory-value free lists, ascending by mem.
-	// classOf maps a node index to its (immutable) class index; a
-	// node's memory is its class's.
-	classes []memClass
-	classOf []int
 
 	// spanPool recycles the span lists of released owners, so the
 	// allocate/release cycle of a long replay stops allocating a fresh
@@ -106,74 +94,40 @@ type Machine struct {
 	scratch []uint64
 }
 
-// New creates a homogeneous machine of n nodes with memPerNode KB each.
+// New creates a machine of n nodes, all up and free.
 //
 //schedlint:coldpath once-per-run constructor
-func New(n int, memPerNode int64) *Machine {
-	mems := make([]int64, n)
-	for i := range mems {
-		mems[i] = memPerNode
-	}
-	return NewHeterogeneous(mems)
-}
-
-// NewHeterogeneous creates a machine whose node i has memPerNode[i] KB:
-// the "nodes configured with different amounts of resources" case of
-// Section 4.1.
-//
-//schedlint:coldpath once-per-run constructor
-func NewHeterogeneous(memPerNode []int64) *Machine {
-	n := len(memPerNode)
+func New(n int) *Machine {
 	words := (n + 63) / 64
-	bitsets := make([]uint64, 2*words) // down and scratch, in one allocation
+	bitsets := make([]uint64, 3*words) // free, down and scratch, in one allocation
 	m := &Machine{
 		owners:  map[int64][]span{},
-		down:    bitsets[:words:words],
-		classOf: make([]int, n),
-		scratch: bitsets[words:],
+		free:    bitsets[:words:words],
+		down:    bitsets[words : 2*words : 2*words],
+		scratch: bitsets[2*words:],
+		nodes:   n,
+		up:      n,
+		nFree:   n,
 	}
-	distinct := append([]int64(nil), memPerNode...)
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
-	distinct = dedupe(distinct)
-	m.classes = make([]memClass, len(distinct))
-	for ci, mem := range distinct {
-		m.classes[ci] = memClass{mem: mem, free: make([]uint64, words)}
+	for i := range m.free {
+		m.free[i] = ^uint64(0)
 	}
-	for i, mem := range memPerNode {
-		ci := sort.Search(len(distinct), func(k int) bool { return distinct[k] >= mem })
-		m.classOf[i] = ci
-		m.classes[ci].free[i>>6] |= bit(i)
-		m.classes[ci].count++
+	if r := n & 63; r != 0 {
+		m.free[words-1] = bit(r) - 1 // the last word's spare bits stay clear
 	}
-	m.up = n
-	m.nFree = n
 	return m
 }
 
-func dedupe(sorted []int64) []int64 {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
+// checkNode panics unless i is a node of the machine: a node past its
+// end would otherwise land in the last word's spare bits.
+func (m *Machine) checkNode(i int) {
+	if uint(i) >= uint(m.nodes) {
+		panic("cluster: node outside the machine")
 	}
-	return out
-}
-
-// firstClass returns the index of the smallest memory class satisfying
-// minMem.
-func (m *Machine) firstClass(minMem int64) int {
-	// Unconstrained requests (and homogeneous machines) start at class 0;
-	// skipping the closure-driven search keeps the allocation fast path
-	// branch-only.
-	if len(m.classes) > 0 && minMem <= m.classes[0].mem {
-		return 0
-	}
-	return sort.Search(len(m.classes), func(k int) bool { return m.classes[k].mem >= minMem })
 }
 
 // Total returns the number of nodes, up or down.
-func (m *Machine) Total() int { return len(m.classOf) }
+func (m *Machine) Total() int { return m.nodes }
 
 // Up returns the number of functional (not down) nodes.
 func (m *Machine) Up() int {
@@ -187,42 +141,20 @@ func (m *Machine) Free() int {
 	return m.nFree
 }
 
-// FreeWithMem returns the number of up, unallocated nodes with at least
-// minMem KB of memory.
-func (m *Machine) FreeWithMem(minMem int64) int {
-	m.check()
-	if minMem <= 0 {
-		return m.nFree
-	}
-	n := 0
-	for ci := m.firstClass(minMem); ci < len(m.classes); ci++ {
-		n += m.classes[ci].count
-	}
-	return n
-}
-
 // InUse returns the number of allocated (and up) nodes.
 func (m *Machine) InUse() int {
 	m.check()
 	return m.inUse
 }
 
-// CanAllocate reports whether count nodes with minMem memory are free.
-func (m *Machine) CanAllocate(count int, minMem int64) bool {
-	return m.FreeWithMem(minMem) >= count
-}
-
-// Allocate assigns count free nodes with at least minMem memory to
-// owner and returns their indices, ascending. Nodes with the smallest
-// adequate memory are chosen first, preserving large-memory nodes for
-// jobs that need them (best fit); ties break toward lower node indices.
-// It returns false, and allocates nothing, if the request cannot be
-// satisfied. Owner must be nonzero and must not already hold an
-// allocation.
+// Allocate assigns the count lowest-index free nodes to owner and
+// returns their indices, ascending. It returns false, and allocates
+// nothing, if fewer than count nodes are free. Owner must be nonzero
+// and must not already hold an allocation.
 //
 //schedlint:hotpath entry point: allocation kernel, also driven directly by tests and meta
-func (m *Machine) Allocate(owner int64, count int, minMem int64) ([]int, bool) {
-	spans, ok := m.allocate(owner, count, minMem)
+func (m *Machine) Allocate(owner int64, count int) ([]int, bool) {
+	spans, ok := m.allocate(owner, count)
 	if !ok {
 		return nil, false
 	}
@@ -232,13 +164,13 @@ func (m *Machine) Allocate(owner int64, count int, minMem int64) ([]int, bool) {
 // Claim is Allocate for callers that do not need the node list (the
 // simulator's job starts, which only track the owner): same selection,
 // same bookkeeping, no list.
-func (m *Machine) Claim(owner int64, count int, minMem int64) bool {
-	_, ok := m.allocate(owner, count, minMem)
+func (m *Machine) Claim(owner int64, count int) bool {
+	_, ok := m.allocate(owner, count)
 	return ok
 }
 
 // allocate performs the allocation and returns the stored span list.
-func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) {
+func (m *Machine) allocate(owner int64, count int) ([]span, bool) {
 	if owner == NoOwner {
 		panic("cluster: allocation with zero owner")
 	}
@@ -248,18 +180,16 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) 
 	if count <= 0 {
 		panic("cluster: non-positive allocation size")
 	}
-	if m.FreeWithMem(minMem) < count {
+	if m.Free() < count {
 		return nil, false
 	}
-	// Walk the free lists from the smallest adequate class upward,
-	// taking lowest-index nodes first within each class — the same
-	// (Mem, index) order the original scan-and-sort produced — a whole
-	// word, or its lowest set bits, per step. The span list comes from
-	// the ReleaseQuiet pool when one is available; allocation only
+	// Walk the free set upward, taking the lowest-index nodes first, a
+	// whole word, or its lowest set bits, per step. The span list comes
+	// from the ReleaseQuiet pool when one is available; allocation only
 	// happens while the pool warms up (or when a pooled list's capacity
 	// is outgrown by a more fragmented allocation). A fresh list has
-	// room for eight spans, as many as a one-class allocation on a
-	// 512-node machine can take.
+	// room for eight spans, as many as an allocation on a 512-node
+	// machine can take.
 	var spans []span
 	if n := len(m.spanPool); n > 0 {
 		spans = m.spanPool[n-1][:0]
@@ -269,32 +199,23 @@ func (m *Machine) allocate(owner int64, count int, minMem int64) ([]span, bool) 
 		spans = make([]span, 0, 8)
 	}
 	need := count
-	for ci := m.firstClass(minMem); ci < len(m.classes) && need > 0; ci++ {
-		c := &m.classes[ci]
-		if c.count == 0 {
+	for wi := 0; wi < len(m.free) && need > 0; wi++ {
+		w := m.free[wi]
+		if w == 0 {
 			continue
 		}
-		taken := 0
-		for wi := 0; wi < len(c.free) && need > 0; wi++ {
-			w := c.free[wi]
-			if w == 0 {
-				continue
-			}
-			k := bits.OnesCount64(w)
-			if k > need {
-				w, k = lowestBits(w, need), need
-			}
-			c.free[wi] &^= w
-			spans = append(spans, span{class: int32(ci), word: int32(wi), mask: w})
-			taken += k
-			need -= k
+		k := bits.OnesCount64(w)
+		if k > need {
+			w, k = lowestBits(w, need), need
 		}
-		c.count -= taken
-		m.nFree -= taken
+		m.free[wi] &^= w
+		spans = append(spans, span{word: wi, mask: w})
+		need -= k
 	}
 	if need > 0 {
-		panic("cluster: free-list count disagrees with free-list contents")
+		panic("cluster: free count disagrees with the free set")
 	}
+	m.nFree -= count
 	m.inUse += count
 	m.owners[owner] = spans
 	m.check()
@@ -323,13 +244,8 @@ func nodeList(spans []span) []int {
 	out := make([]int, 0, n)
 	for _, s := range spans {
 		for w := s.mask; w != 0; w &= w - 1 {
-			out = append(out, int(s.word)<<6|bits.TrailingZeros64(w))
+			out = append(out, s.word<<6|bits.TrailingZeros64(w))
 		}
-	}
-	// Spans run class by class, so only an allocation served from
-	// several classes can come out unsorted.
-	if !slices.IsSorted(out) {
-		slices.Sort(out)
 	}
 	return out
 }
@@ -354,14 +270,13 @@ func (m *Machine) ReleaseQuiet(owner int64) bool {
 	if !ok {
 		return false
 	}
-	// Each span's nodes go back to its class's free list, minus those
-	// that are down: they were already counted out of inUse when they
-	// went down, and become free only when they come back up.
+	// Each span's nodes go back to the free set, minus those that are
+	// down: they were already counted out of inUse when they went down,
+	// and become free only when they come back up.
 	for _, s := range spans {
 		freed := s.mask &^ m.down[s.word]
-		m.classes[s.class].free[s.word] |= freed
+		m.free[s.word] |= freed
 		k := bits.OnesCount64(freed)
-		m.classes[s.class].count += k
 		m.nFree += k
 		m.inUse -= k
 	}
@@ -385,7 +300,7 @@ func (m *Machine) NodesOf(owner int64) []int {
 // owner table: at most one owner holds a node, so the map's iteration
 // order cannot change the answer.
 func (m *Machine) holder(i int) (int64, int) {
-	word, b := int32(i>>6), bit(i)
+	word, b := i>>6, bit(i)
 	for o, spans := range m.owners {
 		for k, s := range spans {
 			if s.word == word && s.mask&b != 0 {
@@ -398,31 +313,25 @@ func (m *Machine) holder(i int) (int64, int) {
 
 // OwnerOf returns the owner of node i (NoOwner if free).
 func (m *Machine) OwnerOf(i int) int64 {
-	_ = m.classOf[i] // bounds check: a node outside the machine panics
+	m.checkNode(i)
 	o, _ := m.holder(i)
 	return o
 }
-
-// MemOf returns the memory of node i.
-func (m *Machine) MemOf(i int) int64 { return m.classes[m.classOf[i]].mem }
 
 // SetDown marks node i down and returns the owner that was evicted
 // (NoOwner if the node was free). The owner's other nodes remain
 // allocated; the caller (the simulator) decides whether to kill the
 // job and release the rest.
 func (m *Machine) SetDown(i int) int64 {
-	// classOf also bounds-checks i: a node past the machine's end must
-	// panic, not land in the last word's spare bits.
-	c := &m.classes[m.classOf[i]]
+	m.checkNode(i)
 	w, b := i>>6, bit(i)
 	if m.down[w]&b != 0 {
 		return NoOwner
 	}
 	m.down[w] |= b
 	m.up--
-	if c.free[w]&b != 0 {
-		c.free[w] &^= b
-		c.count--
+	if m.free[w]&b != 0 {
+		m.free[w] &^= b
 		m.nFree--
 		m.check()
 		return NoOwner
@@ -437,10 +346,10 @@ func (m *Machine) SetDown(i int) int64 {
 // SetUp marks node i functional again. Any stale ownership is cleared
 // (the job was killed when the node went down).
 func (m *Machine) SetUp(i int) {
-	c := &m.classes[m.classOf[i]] // also bounds-checks i, as in SetDown
+	m.checkNode(i)
 	w, b := i>>6, bit(i)
 	wasDown := m.down[w]&b != 0
-	if !wasDown && c.free[w]&b != 0 {
+	if !wasDown && m.free[w]&b != 0 {
 		m.check()
 		return
 	}
@@ -455,8 +364,7 @@ func (m *Machine) SetUp(i int) {
 			m.inUse--
 		}
 	}
-	c.free[w] |= b
-	c.count++
+	m.free[w] |= b
 	m.nFree++
 	m.check()
 }
@@ -484,14 +392,14 @@ func (m *Machine) Owners() []int64 {
 	for o := range m.owners {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // ---------------------------------------------------------------------
 // Reference scans: node-by-node recomputations from the state's source
 // of truth (the down bitset and the owner table), retained to
-// cross-validate the cached counters and free lists (check, Validate,
+// cross-validate the cached counters and the free set (check, Validate,
 // and the equivalence property tests).
 
 // ownedBits rebuilds the owned-node bitset from the owner table into
@@ -510,7 +418,7 @@ func (m *Machine) ownedBits() []uint64 {
 // scanUp recomputes Up from scratch.
 func (m *Machine) scanUp() int {
 	n := 0
-	for i := range m.classOf {
+	for i := range m.nodes {
 		if !has(m.down, i) {
 			n++
 		}
@@ -518,12 +426,12 @@ func (m *Machine) scanUp() int {
 	return n
 }
 
-// scanFreeWithMem recomputes FreeWithMem from scratch.
-func (m *Machine) scanFreeWithMem(minMem int64) int {
+// scanFree recomputes Free from scratch.
+func (m *Machine) scanFree() int {
 	owned := m.ownedBits()
 	n := 0
-	for i := range m.classOf {
-		if !has(m.down, i) && !has(owned, i) && m.MemOf(i) >= minMem {
+	for i := range m.nodes {
+		if !has(m.down, i) && !has(owned, i) {
 			n++
 		}
 	}
@@ -534,7 +442,7 @@ func (m *Machine) scanFreeWithMem(minMem int64) int {
 func (m *Machine) scanInUse() int {
 	owned := m.ownedBits()
 	n := 0
-	for i := range m.classOf {
+	for i := range m.nodes {
 		if !has(m.down, i) && has(owned, i) {
 			n++
 		}
@@ -542,27 +450,19 @@ func (m *Machine) scanInUse() int {
 	return n
 }
 
-// scanBestFit recomputes the allocation the original scan-and-sort
-// implementation would choose (nil if infeasible), without mutating.
-func (m *Machine) scanBestFit(count int, minMem int64) []int {
+// scanAllocate recomputes the allocation Allocate would choose, the
+// count lowest-index free nodes (nil if infeasible), without mutating.
+func (m *Machine) scanAllocate(count int) []int {
 	owned := m.ownedBits()
-	var candidates []int
-	for i := range m.classOf {
-		if !has(m.down, i) && !has(owned, i) && m.MemOf(i) >= minMem {
-			candidates = append(candidates, i)
+	var chosen []int
+	for i := 0; i < m.nodes && len(chosen) < count; i++ {
+		if !has(m.down, i) && !has(owned, i) {
+			chosen = append(chosen, i)
 		}
 	}
-	if len(candidates) < count {
+	if len(chosen) < count {
 		return nil
 	}
-	sort.Slice(candidates, func(a, b int) bool {
-		if m.MemOf(candidates[a]) != m.MemOf(candidates[b]) {
-			return m.MemOf(candidates[a]) < m.MemOf(candidates[b])
-		}
-		return candidates[a] < candidates[b]
-	})
-	chosen := append([]int(nil), candidates[:count]...)
-	sort.Ints(chosen)
 	return chosen
 }
 
@@ -578,8 +478,8 @@ func (m *Machine) check() {
 	}
 }
 
-// validateCached compares every cached aggregate — counters, per-class
-// free-list populations, per-node free bits — against a from-scratch
+// validateCached compares every cached aggregate — counters, the free
+// set's population, per-node free bits — against a from-scratch
 // recomputation. Shared by check and Validate.
 func (m *Machine) validateCached() error {
 	if got := m.scanUp(); got != m.up {
@@ -588,31 +488,22 @@ func (m *Machine) validateCached() error {
 	if got := m.scanInUse(); got != m.inUse {
 		return fmt.Errorf("cached inUse=%d, scan=%d", m.inUse, got)
 	}
-	if got := m.scanFreeWithMem(0); got != m.nFree {
+	if got := m.scanFree(); got != m.nFree {
 		return fmt.Errorf("cached free=%d, scan=%d", m.nFree, got)
 	}
-	total := 0
-	for ci := range m.classes {
-		c := &m.classes[ci]
-		pop := 0
-		for _, w := range c.free {
-			pop += bits.OnesCount64(w)
-		}
-		if pop != c.count {
-			return fmt.Errorf("class %d (mem %d) count=%d, popcount=%d", ci, c.mem, c.count, pop)
-		}
-		total += pop
+	pop := 0
+	for _, w := range m.free {
+		pop += bits.OnesCount64(w)
 	}
-	// With every free node's bit set in its own class (below), bits
-	// totalling exactly the free count leave no stray bit in another
-	// class or past the machine's last node.
-	if total != m.nFree {
-		return fmt.Errorf("class free lists hold %d nodes, cached free=%d", total, m.nFree)
+	// With every free node's bit set (below), bits totalling exactly the
+	// free count leave no stray bit past the machine's last node.
+	if pop != m.nFree {
+		return fmt.Errorf("free set holds %d nodes, cached free=%d", pop, m.nFree)
 	}
 	owned := m.ownedBits()
-	for i, ci := range m.classOf {
+	for i := range m.nodes {
 		free := !has(m.down, i) && !has(owned, i)
-		if got := has(m.classes[ci].free, i); got != free {
+		if got := has(m.free, i); got != free {
 			return fmt.Errorf("node %d free-bit=%v, state free=%v", i, got, free)
 		}
 	}
@@ -620,9 +511,9 @@ func (m *Machine) validateCached() error {
 }
 
 // Validate checks internal consistency (every owner holds at least one
-// node, no node has two owners, every span lies inside the machine and
-// its memory class, cached counters match a from-scratch
-// recomputation). It is used by property tests.
+// node, no node has two owners, every span lies inside the machine,
+// cached counters match a from-scratch recomputation). It is used by
+// property tests.
 func (m *Machine) Validate() error {
 	seen := make([]uint64, len(m.down))
 	for o, spans := range m.owners {
@@ -634,17 +525,11 @@ func (m *Machine) Validate() error {
 				return fmt.Errorf("owner %d has an empty span in word %d", o, s.word)
 			}
 			if shared := seen[s.word] & s.mask; shared != 0 {
-				return fmt.Errorf("owner %d holds node %d, which another owner holds", o, int(s.word)<<6|bits.TrailingZeros64(shared))
+				return fmt.Errorf("owner %d holds node %d, which another owner holds", o, s.word<<6|bits.TrailingZeros64(shared))
 			}
 			seen[s.word] |= s.mask
-			for w := s.mask; w != 0; w &= w - 1 {
-				i := int(s.word)<<6 | bits.TrailingZeros64(w)
-				if i >= m.Total() {
-					return fmt.Errorf("owner %d holds node %d of a %d-node machine", o, i, m.Total())
-				}
-				if m.classOf[i] != int(s.class) {
-					return fmt.Errorf("owner %d holds node %d of class %d in a span of class %d", o, i, m.classOf[i], s.class)
-				}
+			if last := s.word<<6 | (63 - bits.LeadingZeros64(s.mask)); last >= m.nodes {
+				return fmt.Errorf("owner %d holds node %d of a %d-node machine", o, last, m.nodes)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNewCounts(t *testing.T) {
-	m := New(16, 1024)
+	m := New(16)
 	if m.Total() != 16 || m.Up() != 16 || m.Free() != 16 || m.InUse() != 0 {
 		t.Fatalf("fresh machine: total=%d up=%d free=%d inuse=%d",
 			m.Total(), m.Up(), m.Free(), m.InUse())
@@ -17,8 +17,8 @@ func TestNewCounts(t *testing.T) {
 }
 
 func TestAllocateRelease(t *testing.T) {
-	m := New(8, 1024)
-	nodes, ok := m.Allocate(42, 3, 0)
+	m := New(8)
+	nodes, ok := m.Allocate(42, 3)
 	if !ok || len(nodes) != 3 {
 		t.Fatalf("allocate failed: %v %v", nodes, ok)
 	}
@@ -40,8 +40,8 @@ func TestAllocateRelease(t *testing.T) {
 }
 
 func TestAllocateInsufficient(t *testing.T) {
-	m := New(4, 1024)
-	if _, ok := m.Allocate(1, 5, 0); ok {
+	m := New(4)
+	if _, ok := m.Allocate(1, 5); ok {
 		t.Fatal("allocation beyond machine size succeeded")
 	}
 	if m.Free() != 4 {
@@ -50,61 +50,29 @@ func TestAllocateInsufficient(t *testing.T) {
 }
 
 func TestAllocateDuplicateOwnerPanics(t *testing.T) {
-	m := New(4, 1024)
-	m.Allocate(1, 1, 0)
+	m := New(4)
+	m.Allocate(1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for duplicate owner")
 		}
 	}()
-	m.Allocate(1, 1, 0)
+	m.Allocate(1, 1)
 }
 
 func TestAllocateZeroOwnerPanics(t *testing.T) {
-	m := New(4, 1024)
+	m := New(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for zero owner")
 		}
 	}()
-	m.Allocate(NoOwner, 1, 0)
-}
-
-func TestMemoryConstraints(t *testing.T) {
-	// 2 small + 2 big nodes.
-	m := NewHeterogeneous([]int64{512, 512, 4096, 4096})
-	if m.FreeWithMem(1024) != 2 {
-		t.Fatalf("FreeWithMem(1024) = %d", m.FreeWithMem(1024))
-	}
-	// Best fit: a no-memory job must take small nodes first.
-	nodes, ok := m.Allocate(1, 2, 0)
-	if !ok {
-		t.Fatal("allocate failed")
-	}
-	for _, n := range nodes {
-		if m.MemOf(n) != 512 {
-			t.Fatalf("best-fit violated: got node with %d KB", m.MemOf(n))
-		}
-	}
-	// Big-memory job still fits.
-	if _, ok := m.Allocate(2, 2, 2048); !ok {
-		t.Fatal("big-memory job blocked by best-fit failure")
-	}
-}
-
-func TestMemoryInfeasible(t *testing.T) {
-	m := NewHeterogeneous([]int64{512, 512})
-	if m.CanAllocate(1, 1024) {
-		t.Fatal("no node has 1024 KB")
-	}
-	if _, ok := m.Allocate(9, 1, 1024); ok {
-		t.Fatal("infeasible memory allocation succeeded")
-	}
+	m.Allocate(NoOwner, 1)
 }
 
 func TestSetDownEvictsOwner(t *testing.T) {
-	m := New(4, 1024)
-	nodes, _ := m.Allocate(7, 2, 0)
+	m := New(4)
+	nodes, _ := m.Allocate(7, 2)
 	evicted := m.SetDown(nodes[0])
 	if evicted != 7 {
 		t.Fatalf("evicted = %d, want 7", evicted)
@@ -119,7 +87,7 @@ func TestSetDownEvictsOwner(t *testing.T) {
 }
 
 func TestSetDownFreeNode(t *testing.T) {
-	m := New(4, 1024)
+	m := New(4)
 	if ev := m.SetDown(0); ev != NoOwner {
 		t.Fatalf("evicted %d from free node", ev)
 	}
@@ -129,8 +97,8 @@ func TestSetDownFreeNode(t *testing.T) {
 }
 
 func TestSetUpClearsStaleOwnership(t *testing.T) {
-	m := New(4, 1024)
-	nodes, _ := m.Allocate(7, 2, 0)
+	m := New(4)
+	nodes, _ := m.Allocate(7, 2)
 	m.SetDown(nodes[0])
 	// Simulator would kill job 7 and release; but even without release,
 	// SetUp must clear the stale owner.
@@ -144,25 +112,25 @@ func TestSetUpClearsStaleOwnership(t *testing.T) {
 }
 
 func TestDownNodesNotAllocatable(t *testing.T) {
-	m := New(2, 1024)
+	m := New(2)
 	m.SetDown(0)
-	nodes, ok := m.Allocate(5, 1, 0)
+	nodes, ok := m.Allocate(5, 1)
 	if !ok {
 		t.Fatal("one node still up")
 	}
 	if nodes[0] != 1 {
 		t.Fatalf("allocated down node: %v", nodes)
 	}
-	if _, ok := m.Allocate(6, 1, 0); ok {
+	if _, ok := m.Allocate(6, 1); ok {
 		t.Fatal("no nodes left")
 	}
 }
 
 func TestOwnersSorted(t *testing.T) {
-	m := New(8, 1024)
-	m.Allocate(5, 1, 0)
-	m.Allocate(2, 1, 0)
-	m.Allocate(9, 1, 0)
+	m := New(8)
+	m.Allocate(5, 1)
+	m.Allocate(2, 1)
+	m.Allocate(9, 1)
 	owners := m.Owners()
 	if len(owners) != 3 || owners[0] != 2 || owners[1] != 5 || owners[2] != 9 {
 		t.Fatalf("owners = %v", owners)
@@ -170,8 +138,8 @@ func TestOwnersSorted(t *testing.T) {
 }
 
 func TestNodesOfReturnsCopy(t *testing.T) {
-	m := New(4, 1024)
-	m.Allocate(1, 2, 0)
+	m := New(4)
+	m.Allocate(1, 2)
 	nodes := m.NodesOf(1)
 	nodes[0] = 99
 	if m.NodesOf(1)[0] == 99 {
@@ -180,11 +148,10 @@ func TestNodesOfReturnsCopy(t *testing.T) {
 }
 
 // TestCountersMatchScansProperty drives randomized
-// allocate/release/SetDown/SetUp sequences with heterogeneous memory
-// and asserts after every step that the cached counters and
-// per-memory-class free lists equal a from-scratch recomputation, and
-// that Allocate picks exactly the nodes the original scan-and-sort
-// implementation would have picked. Every machine size ends in a
+// allocate/release/SetDown/SetUp sequences and asserts after every step
+// that the cached counters and the free set equal a from-scratch
+// recomputation, and that Allocate picks exactly the nodes a scan for
+// the lowest-index free nodes picks. Every machine size ends in a
 // partial 64-node word, and the larger ones take allocations across
 // several words. A node that goes down may stay with its owner, and
 // come back up before the owner is released: what the simulator does
@@ -196,12 +163,7 @@ func TestCountersMatchScansProperty(t *testing.T) {
 	for _, nodes := range []int{48, 130, 200} {
 		f := func(seed int64) bool {
 			rng := stats.NewRNG(seed)
-			mems := make([]int64, nodes)
-			classes := 1 + rng.Intn(4) // one class: the homogeneous machine
-			for i := range mems {
-				mems[i] = int64(1024 << rng.Intn(classes))
-			}
-			m := NewHeterogeneous(mems)
+			m := New(nodes)
 			// live is an ordered list so owner selection below is a pure
 			// function of the seed (map iteration would not replay).
 			var live []int64
@@ -219,14 +181,10 @@ func TestCountersMatchScansProperty(t *testing.T) {
 			next := int64(1)
 			for step := 0; step < 400; step++ {
 				switch rng.Intn(6) {
-				case 0, 1: // allocate with a random memory floor
+				case 0, 1: // allocate
 					count := 1 + rng.Intn(nodes/3)
-					minMem := int64(1024 << rng.Intn(5))
-					if rng.Intn(3) == 0 {
-						minMem = 0
-					}
-					want := m.scanBestFit(count, minMem)
-					got, ok := m.Allocate(next, count, minMem)
+					want := m.scanAllocate(count)
+					got, ok := m.Allocate(next, count)
 					if (want == nil) == ok {
 						t.Logf("step %d: feasibility diverged (scan %v, got %v)", step, want, ok)
 						return false
@@ -279,15 +237,9 @@ func TestCountersMatchScansProperty(t *testing.T) {
 					return false
 				}
 				if m.Up() != m.scanUp() || m.InUse() != m.scanInUse() ||
-					m.Free() != m.scanFreeWithMem(0) {
+					m.Free() != m.scanFree() {
 					t.Logf("step %d: counters diverged from scans", step)
 					return false
-				}
-				for _, minMem := range []int64{0, 1024, 2048, 4096, 8192, 1 << 20} {
-					if m.FreeWithMem(minMem) != m.scanFreeWithMem(minMem) {
-						t.Logf("step %d: FreeWithMem(%d) diverged", step, minMem)
-						return false
-					}
 				}
 			}
 			return true
@@ -298,13 +250,42 @@ func TestCountersMatchScansProperty(t *testing.T) {
 	}
 }
 
+// TestNodeOutsideMachinePanics: SetDown, SetUp and OwnerOf reject a
+// node outside the machine. On 130 nodes, node 130 falls inside the
+// last word's spare bits, so only an explicit bound catches it.
+func TestNodeOutsideMachinePanics(t *testing.T) {
+	m := New(130)
+	for _, i := range []int{130, -1} {
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"SetDown", func() { m.SetDown(i) }},
+			{"SetUp", func() { m.SetUp(i) }},
+			{"OwnerOf", func() { m.OwnerOf(i) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on a %d-node machine did not panic", c.name, i, m.Total())
+					}
+				}()
+				c.op()
+			}()
+		}
+	}
+	if err := m.Validate(); err != nil || m.Up() != 130 || m.Free() != 130 {
+		t.Fatalf("rejected calls changed the machine: %v, up=%d free=%d", err, m.Up(), m.Free())
+	}
+}
+
 // TestSetUpWhileUpClearsAllocation pins the historical (surprising)
 // SetUp contract: calling SetUp on an up, allocated node evicts the
 // allocation — counters must follow.
 func TestSetUpWhileUpClearsAllocation(t *testing.T) {
 	defer EnableDebugChecks(EnableDebugChecks(true))
-	m := New(4, 1024)
-	nodes, _ := m.Allocate(7, 2, 0)
+	m := New(4)
+	nodes, _ := m.Allocate(7, 2)
 	m.SetUp(nodes[0])
 	if m.OwnerOf(nodes[0]) != NoOwner {
 		t.Fatal("SetUp on an up node must clear ownership")
@@ -323,7 +304,7 @@ func TestSetUpWhileUpClearsAllocation(t *testing.T) {
 func TestAllocationInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
-		m := New(32, 1024)
+		m := New(32)
 		live := map[int64]bool{}
 		next := int64(1)
 		down := map[int]bool{}
@@ -331,7 +312,7 @@ func TestAllocationInvariantProperty(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // allocate
 				count := 1 + rng.Intn(8)
-				if _, ok := m.Allocate(next, count, 0); ok {
+				if _, ok := m.Allocate(next, count); ok {
 					live[next] = true
 				}
 				next++

@@ -40,7 +40,8 @@ type RunSpec struct {
 	// interarrivals for Rep > 0; model sources vary by seed).
 	Rep int `json:"rep,omitempty"`
 	// Loads are the offered-load points to run, one result per point.
-	// Empty means one run at the source's recorded/default load.
+	// Empty means one run at the source's recorded/default load, and so
+	// does a point of 0. A negative, NaN or infinite point is an error.
 	Loads []float64 `json:"loads,omitempty"`
 	// Sim carries the serializable simulation options.
 	Sim SimSpec `json:"sim,omitempty"`
@@ -247,8 +248,12 @@ func (rs RunSpec) config() Config {
 }
 
 // Validate reports whether the RunSpec names a constructible run
-// without executing it: the scheduler builds and the source resolves.
+// without executing it: the load points are well formed, the scheduler
+// builds and the source resolves.
 func (rs RunSpec) Validate() error {
+	if err := rs.checkLoads(); err != nil {
+		return err
+	}
 	if _, err := sched.Build(rs.Scheduler); err != nil {
 		return err
 	}
@@ -264,6 +269,17 @@ func (rs RunSpec) Validate() error {
 	default:
 		return fmt.Errorf("runspec: unknown source kind %q (have %s, %s)",
 			rs.Source.Kind, sourceModel, sourceTrace)
+	}
+	return nil
+}
+
+// checkLoads rejects a load point that names no offered load: negative,
+// NaN or infinite. 0 means the source's default.
+func (rs RunSpec) checkLoads() error {
+	for _, l := range rs.Loads {
+		if !(l >= 0) || math.IsInf(l, 1) { // !(l >= 0) is true for NaN too
+			return fmt.Errorf("runspec: load %v is not a finite offered load >= 0 (0 = source default)", l)
+		}
 	}
 	return nil
 }
@@ -334,6 +350,9 @@ func (m materialized) run(s sched.Scheduler, opts sim.Options) (WorkloadInfo, er
 // at the configured cadence), and the RunResult's Report comes from
 // the collector — no post-hoc pass over the outcome slice.
 func execute(rs RunSpec, resolve func(load float64) (replay, error)) ([]RunResult, error) {
+	if err := rs.checkLoads(); err != nil {
+		return nil, err
+	}
 	opts, err := rs.Sim.Options()
 	if err != nil {
 		return nil, err

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"parsched/internal/sched"
 	"parsched/internal/sim"
+	"parsched/internal/workload/trace"
 )
 
 func TestParseSourceForms(t *testing.T) {
@@ -90,6 +92,48 @@ func TestRunSpecValidate(t *testing.T) {
 	badKind := RunSpec{Scheduler: sched.MustParse("easy"), Source: Source{Kind: "ftp", Arg: "x"}}
 	if err := badKind.Validate(); err == nil || !strings.Contains(err.Error(), "unknown source kind") {
 		t.Fatalf("unknown source kind: %v", err)
+	}
+}
+
+// TestExecuteRejectsMalformedLoads: a load point that is negative, NaN
+// or infinite is an error from Execute and ExecuteSource, for a model
+// and a trace source, even behind a good point; 0 keeps meaning the
+// source's default.
+func TestExecuteRejectsMalformedLoads(t *testing.T) {
+	const tracePath = "../workload/trace/testdata/mini.swf"
+	src, err := trace.Cached(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := RunSpec{Scheduler: sched.MustParse("easy"), Source: ParseSource("model:lublin99"), Jobs: 50}
+	fromTrace := RunSpec{Scheduler: sched.MustParse("easy"), Source: ParseSource("trace:" + tracePath)}
+	entries := []struct {
+		name string
+		run  func(RunSpec) ([]RunResult, error)
+		rs   RunSpec
+	}{
+		{"Execute/model", Execute, model},
+		{"Execute/trace", Execute, fromTrace},
+		{"ExecuteSource", func(rs RunSpec) ([]RunResult, error) { return ExecuteSource(src, rs) }, fromTrace},
+	}
+	for _, loads := range [][]float64{{-1}, {math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {0.7, -0.5}} {
+		for _, e := range entries {
+			rs := e.rs
+			rs.Loads = loads
+			if res, err := e.run(rs); err == nil || !strings.Contains(err.Error(), "offered load") {
+				t.Errorf("%s, loads %v: err = %v, %d results; want a load error", e.name, loads, err, len(res))
+			}
+			if err := rs.Validate(); err == nil {
+				t.Errorf("Validate accepted loads %v", loads)
+			}
+		}
+	}
+	for _, e := range entries {
+		rs := e.rs
+		rs.Loads = []float64{0, 0.7}
+		if res, err := e.run(rs); err != nil || len(res) != 2 {
+			t.Errorf("%s, loads %v: err = %v, %d results; want 2", e.name, rs.Loads, err, len(res))
+		}
 	}
 }
 

@@ -285,14 +285,11 @@ func (e *EASY) schedule(ctx Context) {
 	// hardens against the end-of-pass state (Take never adds capacity,
 	// CanStart's free count only falls within a pass, and both FitsAt
 	// and the shadow gates are monotone false-ward as now advances over
-	// a fixed stamp). Only reservation carves — which walk does, this
-	// path never — leave the profile genuinely mutated. The shadow gates
-	// only harden if the shadow stays put, and a shadow at now does not:
-	// it is a head the profile fits but CanStart refuses (memory-aware
-	// placement), and a later pass over the same stamp can find its
-	// shadow past a capacity window and backfill more. So such a sweep
-	// records no memo.
-	if e.sweepOK = !p.Mutated() && shadow > now; e.sweepOK {
+	// a fixed stamp). The shadow stays put over a fixed stamp: the head
+	// does not fit now (phase 1 would have started it), so its shadow
+	// lies past now. Only reservation carves — which walk does, this
+	// path never — leave the profile genuinely mutated.
+	if e.sweepOK = !p.Mutated(); e.sweepOK {
 		e.sweepStamp = p.Stamp()
 		e.sweepLen = len(e.queue)
 	}
@@ -311,11 +308,12 @@ func (e *EASY) schedule(ctx Context) {
 //
 // Unlike classic EASY, the walk runs no FCFS phase first: it starts
 // exactly the head jobs such a phase would. With Windows, that phase
-// tests FitsAt(now) && CanStart, which is the walk's scan(now) == now &&
-// CanStart. Without, the profile holds only running jobs, so its free
-// count starts at FreeProcs and only rises (every start the walk takes
-// runs from now, which keeps it so), and CanStart alone implies a fit
-// now.
+// tests FitsAt(now), which is the walk's scan(now) == now. Without, the
+// profile holds only running jobs, so its free count starts at
+// FreeProcs and only rises (every start the walk takes runs from now,
+// which keeps it so), and CanStart alone implies a fit now. A fit now
+// is the capacity check too: the profile's first segment is FreeProcs,
+// and every start of the pass is mirrored into it (TakeStarted).
 //
 // The walk stops after the last queued job that still fits now (see
 // lastFit) and runs through the reservation ledger: a pass over an
@@ -346,7 +344,7 @@ func (e *EASY) walk(ctx Context, p *Profile, now int64) {
 			floor := max(qi, checked)
 			if last = lastFit(p, now, e.queue, e.estq, last, floor); last < floor {
 				if debugchecks.Enabled {
-					verifyCut(ctx, p, e.queue[qi:], e.estq[qi:], e.Reserve-len(kept), now)
+					verifyCut(p, e.queue[qi:], e.estq[qi:], e.Reserve-len(kept), now)
 				}
 				break
 			}
@@ -355,7 +353,7 @@ func (e *EASY) walk(ctx Context, p *Profile, now int64) {
 		start := ledgerSwept
 		if len(kept) < e.Reserve {
 			h := p.scan(now, est, j.Size)
-			if h.start == now && ctx.CanStart(j, j.Size) {
+			if h.start == now {
 				ctx.Start(j, j.Size)
 				// Its processors are busy until its expected end; reflect
 				// that for the jobs behind it.
@@ -370,7 +368,7 @@ func (e *EASY) walk(ctx Context, p *Profile, now int64) {
 				p.takeHole(h, est, j.Size)
 			}
 			start = h.start
-		} else if ctx.CanStart(j, j.Size) && p.FitsAt(now, est, j.Size) {
+		} else if p.FitsAt(now, est, j.Size) {
 			ctx.Start(j, j.Size)
 			p.TakeStarted(ctx, now, now+est, j.Size)
 			e.queueGen++
@@ -402,11 +400,10 @@ func (e *EASY) canStartNow(ctx Context, p *Profile, j *core.Job, est int64) bool
 	// estimated duration starting now (otherwise it would collide with a
 	// window). FitsAt answers exactly EarliestFit(now, ...) == now, but
 	// bails at the first too-full segment instead of scanning on for a
-	// later hole this check would discard anyway — and it runs before
-	// the machine walk, since in a congested pass it is the commoner
-	// rejection. Both predicates are pure, so the order is free.
-	if e.Windows && !p.FitsAt(ctx.Now(), est, j.Size) {
-		return false
+	// later hole this check would discard anyway. The fit is also the
+	// capacity check (see walk).
+	if e.Windows {
+		return p.FitsAt(ctx.Now(), est, j.Size)
 	}
 	return ctx.CanStart(j, j.Size)
 }
@@ -434,7 +431,7 @@ func lastFit(p *Profile, now int64, queue []*core.Job, estq []int64, last, floor
 // reserving the first reserve jobs (the depth the walk had left) and
 // offering the rest immediate backfill, and panics if any skipped job
 // would start.
-func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, reserve int, now int64) {
+func verifyCut(p *Profile, queue []*core.Job, estq []int64, reserve int, now int64) {
 	if !debugchecks.Enabled {
 		return
 	}
@@ -443,7 +440,7 @@ func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, reserve
 		est := estq[i]
 		if i < reserve {
 			start := shadow.EarliestFit(now, est, j.Size)
-			if start == now && ctx.CanStart(j, j.Size) {
+			if start == now {
 				panic(fmt.Sprintf("sched: cut dual-run: skipped job %d would start now", j.ID))
 			}
 			if start >= 0 {
@@ -451,7 +448,7 @@ func verifyCut(ctx Context, p *Profile, queue []*core.Job, estq []int64, reserve
 			}
 			continue
 		}
-		if ctx.CanStart(j, j.Size) && shadow.FitsAt(now, est, j.Size) {
+		if shadow.FitsAt(now, est, j.Size) {
 			panic(fmt.Sprintf("sched: cut dual-run: skipped job %d would backfill now", j.ID))
 		}
 	}

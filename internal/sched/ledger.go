@@ -185,7 +185,7 @@ func (l *resvLedger) verifyResume(ctx Context, windows bool, queue []*core.Job, 
 				panic(fmt.Sprintf("sched: ledger dual-run: job %d reservation diverged (recorded %d, from-scratch %d)",
 					e.id, e.start, start))
 			}
-			if start == now && ctx.CanStart(j, j.Size) {
+			if start == now {
 				panic(fmt.Sprintf("sched: ledger dual-run: job %d would start now on a from-scratch pass", e.id))
 			}
 			if start >= 0 {
@@ -197,7 +197,7 @@ func (l *resvLedger) verifyResume(ctx Context, windows bool, queue []*core.Job, 
 			panic(fmt.Sprintf("sched: ledger dual-run: job %d beyond depth %d records start %d, want swept",
 				e.id, reserve, e.start))
 		}
-		if ctx.CanStart(j, j.Size) && shadow.FitsAt(now, est, j.Size) {
+		if shadow.FitsAt(now, est, j.Size) {
 			panic(fmt.Sprintf("sched: ledger dual-run: swept job %d would backfill on a from-scratch pass", e.id))
 		}
 	}

@@ -180,13 +180,17 @@ func (p *Profile) takeHole(h hole, dur int64, procs int) {
 // stamps are re-anchored to the post-start state. The build stamp
 // advances: this is a new base, and every stamp-keyed memo must miss.
 //
+// A started job holds its processors for at least one second, as a
+// build holds an overdue job's (see overdueClamp), so an estimate-zero
+// start is mirrored over [start, start+1). That keeps the first
+// segment at FreeProcs: a fit now implies the capacity to start.
+//
 // Falls back to plain Take — next pass re-merges — when the scratch no
-// longer mirrors the base (reservation carves this pass), there is no
-// base (the context has no RunEpoch stamp), or the span is degenerate
-// (an estimate-zero job still joins the running set, which absorption
-// cannot express).
+// longer mirrors the base (reservation carves this pass) or there is no
+// base (the context has no RunEpoch stamp).
 func (p *Profile) TakeStarted(ctx Context, start, end int64, procs int) {
-	if start != p.times[0] || end <= start {
+	end = max(end, start+1)
+	if start != p.times[0] {
 		p.Take(start, end, procs)
 		return
 	}
@@ -194,12 +198,13 @@ func (p *Profile) TakeStarted(ctx Context, start, end int64, procs int) {
 }
 
 // takeStartedHole is TakeStarted(ctx, h.start, h.start+dur, procs) for a
-// hole a fit scan for at least dur seconds returned, carving over the
+// hole a fit scan for max(dur, 1) seconds returned, carving over the
 // segments the scan verified (see takeHole).
 func (p *Profile) takeStartedHole(ctx Context, h hole, dur int64, procs int) {
+	dur = max(dur, 1)
 	re, hasEpoch := ctx.(RunEpoch)
 	if !hasEpoch || p.mutated || len(p.baseT) == 0 ||
-		procs <= 0 || dur <= 0 || h.start != p.times[0] {
+		procs <= 0 || h.start != p.times[0] {
 		p.takeHole(h, dur, procs)
 		return
 	}

@@ -69,7 +69,9 @@ type Context interface {
 	// FreeProcs is the number of free functional processors.
 	FreeProcs() int
 	// CanStart reports whether j could start right now on size
-	// processors (capacity and per-node memory both satisfiable).
+	// processors: whether size processors are free. A FitsAt(now) over
+	// a profile built from this context in the same callback, with the
+	// callback's starts mirrored into it, implies it.
 	CanStart(j *core.Job, size int) bool
 	// Start begins j now on size processors. It panics if CanStart is
 	// false — schedulers must check first.

@@ -30,43 +30,25 @@ var backfillDepthSpecs = []string{
 }
 
 // renderBackfillDepths runs every backfill spec over five seeded
-// 32-node Lublin workloads at loads from 0.7 to 1.6, under four option
-// sets: none; outages with advance reservations; the same dropping
-// killed jobs; and memory-aware allocation over mixed-memory nodes. It
-// renders one line per run: a digest of the job outcomes, a digest of
-// the reservation outcomes and the event count.
+// 32-node Lublin workloads at loads from 0.7 to 1.6, under three option
+// sets: none; outages with advance reservations; and the same dropping
+// killed jobs. It renders one line per run: a digest of the job
+// outcomes, a digest of the reservation outcomes and the event count.
 func renderBackfillDepths(t *testing.T) string {
 	t.Helper()
-	const nodes, smallNodes, smallMem = 32, 8, 128 * 1024
-	// Every fourth node has 128 MB, the rest 8 GB. A job wider than the
-	// big nodes asks for no more than a small node has, so every job can
-	// start once enough nodes are free: memory blocks a job for a while,
-	// never for good, and does not freeze the queue behind it.
-	mems := make([]int64, nodes)
-	for i := range mems {
-		mems[i] = 8 * 1024 * 1024
-		if i%4 == 0 {
-			mems[i] = smallMem
-		}
-	}
+	const nodes = 32
 	var b strings.Builder
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		// The memory synthesis draws from the estimate stream, so it
+		// stays on: without it the estimates, and every line, would move.
 		cfg := model.Config{
 			MaxNodes: nodes, Jobs: 150, Seed: seed,
 			Load:           0.7 + 0.225*float64(seed-1),
 			EstimateFactor: 1.5 + rng.Float64(),
 			Memory:         true, MemMeanKB: 64 * 1024,
 		}
-		wMake := func() *core.Workload {
-			w := lublin.Default().Generate(cfg)
-			for _, j := range w.Jobs {
-				if j.Size > nodes-smallNodes {
-					j.ReqMemPerProc = min(j.ReqMemPerProc, smallMem)
-				}
-			}
-			return w
-		}
+		wMake := func() *core.Workload { return lublin.Default().Generate(cfg) }
 		span := wMake().Span()
 		log := outage.Generate(outage.GeneratorConfig{
 			Nodes: nodes, Horizon: span + 7*86400,
@@ -93,7 +75,6 @@ func renderBackfillDepths(t *testing.T) string {
 			{"plain", Options{}},
 			{"outages", Options{Outages: log, Reservations: resvs}},
 			{"drop-killed", Options{Outages: log, Reservations: resvs, DropKilled: true}},
-			{"mem-aware", Options{NodeMem: mems, MemAware: true}},
 		} {
 			for _, spec := range backfillDepthSpecs {
 				res, err := Run(wMake(), mustNew(t, spec), o.opts)

@@ -73,14 +73,9 @@ type Instance struct {
 	winEpoch uint64
 	// runEpoch stamps the running set the same way: it advances on every
 	// runOrder membership change (the only mutations — ExpEnd is fixed at
-	// start) and on every node up/down batch, so equal stamps mean
-	// Running() would repeat itself AND the machine's node-level state is
-	// unchanged. The topology bump is deliberate over-invalidation: a
-	// balanced down/up batch can leave the free count and running set
-	// intact while still changing which nodes (and how much per-node
-	// memory) CanStart sees, so any decision memo keyed on the stamp must
-	// be discarded. The contract is one-directional — equal stamps
-	// guarantee nothing changed; unequal stamps promise nothing.
+	// start), so equal stamps mean Running() would repeat itself. The
+	// contract is one-directional — equal stamps guarantee nothing
+	// changed; unequal stamps promise nothing.
 	runEpoch uint64
 	// submitEpoch counts OnSubmit dispatches (fresh submittals and
 	// kill-requeues alike) — the sched.QueueEpoch stamp that lets a
@@ -151,26 +146,17 @@ func (l *windowList) refresh(now int64) bool {
 	return true
 }
 
-// NewInstance creates a machine of maxNodes nodes (heterogeneous if
-// opts.NodeMem is set) scheduled by s, attached to engine. A machine
-// beyond core.MaxMachine is an error before anything is allocated.
+// NewInstance creates a machine of maxNodes nodes scheduled by s,
+// attached to engine. A machine beyond core.MaxMachine is an error
+// before anything is allocated.
 func NewInstance(engine *des.Engine, name string, maxNodes int, s sched.Scheduler, opts Options) (*Instance, error) {
 	if err := core.CheckMachine(maxNodes); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	var machine *cluster.Machine
-	if opts.NodeMem != nil {
-		if len(opts.NodeMem) != maxNodes {
-			return nil, fmt.Errorf("sim: NodeMem has %d entries for %d nodes", len(opts.NodeMem), maxNodes)
-		}
-		machine = cluster.NewHeterogeneous(opts.NodeMem)
-	} else {
-		machine = cluster.New(maxNodes, 1<<50)
-	}
 	return &Instance{
 		Name:       name,
 		engine:     engine,
-		machine:    machine,
+		machine:    cluster.New(maxNodes),
 		schedule:   s,
 		opts:       opts,
 		running:    map[int64]*runState{},
@@ -348,13 +334,6 @@ func (sm *Instance) applyNodeEvents(downs, ups []int) {
 		sm.killJob(id)
 	}
 	sm.victimBuf = ids[:0]
-	// Node transitions change which nodes are up even when the free
-	// count and running set come out unchanged (a balanced down/up batch
-	// with no victims), and per-node state is exactly what CanStart
-	// consults under memory-aware placement. Advance the running-set
-	// stamp so profile snapshots and decision memos keyed on it rebuild;
-	// batches are rare, so the forced O(running) refresh is noise.
-	sm.runEpoch++
 	sm.notifyChange()
 }
 
@@ -412,7 +391,7 @@ func (sm *Instance) killJob(id int64) {
 // claimReservation allocates the reserved processors at start time.
 func (sm *Instance) claimReservation(r sched.Reservation) {
 	owner := reservationOwner + r.ID
-	ok := sm.machine.Claim(owner, r.Procs, 0)
+	ok := sm.machine.Claim(owner, r.Procs)
 	sm.resvResults = append(sm.resvResults, ReservationOutcome{Reservation: r, Granted: ok})
 	if ok {
 		sm.engine.At(r.End, des.PriorityOutage, func() {
@@ -436,18 +415,8 @@ func (sm *Instance) TotalProcs() int { return sm.machine.Up() }
 func (sm *Instance) FreeProcs() int { return sm.machine.Free() }
 
 // CanStart implements sched.Context.
-func (sm *Instance) CanStart(j *core.Job, size int) bool {
-	if size < 1 {
-		return false
-	}
-	return sm.machine.CanAllocate(size, sm.memNeed(j))
-}
-
-func (sm *Instance) memNeed(j *core.Job) int64 {
-	if !sm.opts.MemAware || j.ReqMemPerProc <= 0 {
-		return 0
-	}
-	return j.ReqMemPerProc
+func (sm *Instance) CanStart(_ *core.Job, size int) bool {
+	return size >= 1 && sm.machine.Free() >= size
 }
 
 // Start implements sched.Context.
@@ -455,7 +424,7 @@ func (sm *Instance) Start(j *core.Job, size int) {
 	if _, dup := sm.running[j.ID]; dup {
 		panic(fmt.Sprintf("sim: job %d started twice", j.ID))
 	}
-	if !sm.machine.Claim(j.ID, size, sm.memNeed(j)) {
+	if !sm.machine.Claim(j.ID, size) {
 		panic(fmt.Sprintf("sim: scheduler started job %d (size %d) without capacity", j.ID, size))
 	}
 	now := sm.engine.Now()

@@ -142,58 +142,6 @@ func TestOutageStorm(t *testing.T) {
 	}
 }
 
-func TestMemoryModelEndToEnd(t *testing.T) {
-	// The Section 2.2 memory extension through the whole stack: a
-	// memory-demanding workload on a heterogeneous machine with
-	// memory-aware allocation.
-	w := lublin.Default().Generate(model.Config{
-		MaxNodes: 32, Jobs: 300, Seed: 5, Load: 0.6, Memory: true,
-		MemMeanKB: 64 * 1024,
-	})
-	// Half small-memory nodes, half big.
-	mems := make([]int64, 32)
-	for i := range mems {
-		if i < 16 {
-			mems[i] = 128 * 1024 // 128 MB
-		} else {
-			mems[i] = 8 * 1024 * 1024 // 8 GB
-		}
-	}
-	res, err := Run(w, sched.NewFirstFit(), Options{NodeMem: mems, MemAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkUniversalInvariants(t, "mem-aware", w, res)
-	r := res.Report(32)
-	// A job is feasible iff enough nodes satisfy its memory request:
-	// all 32 for small requests, only the 16 big nodes for large ones.
-	feasible := 0
-	for _, j := range w.Jobs {
-		switch {
-		case j.ReqMemPerProc <= 128*1024:
-			feasible++
-		case j.ReqMemPerProc <= 8*1024*1024 && j.Size <= 16:
-			feasible++
-		}
-	}
-	if r.Finished < feasible {
-		t.Errorf("finished %d < feasible %d", r.Finished, feasible)
-	}
-	if r.Finished == len(w.Jobs) {
-		t.Error("expected some memory-infeasible jobs in this workload")
-	}
-
-	// Contrast: the memory-oblivious run has no memory gating, so every
-	// job completes.
-	obl, err := Run(w, sched.NewFirstFit(), Options{NodeMem: mems})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obl.Report(32).Finished != len(w.Jobs) {
-		t.Errorf("memory-oblivious run should finish everything, got %d", obl.Report(32).Finished)
-	}
-}
-
 func TestHighLoadLeavesQueueNonEmptyAtHorizon(t *testing.T) {
 	// Sanity for horizon semantics under overload: cutting the run
 	// mid-saturation reports unfinished jobs rather than losing them.

@@ -46,12 +46,6 @@ type Options struct {
 	Outages *outage.Log
 	// Reservations injects advance-reservation requests.
 	Reservations []sched.Reservation
-	// NodeMem configures per-node memory (KB); nil means uniform
-	// effectively-infinite memory. Length must equal the workload's
-	// MaxNodes when set.
-	NodeMem []int64
-	// MemAware makes allocation honour job ReqMemPerProc.
-	MemAware bool
 	// PerfectEstimates makes the scheduler see actual runtimes instead
 	// of user estimates.
 	PerfectEstimates bool

@@ -443,21 +443,22 @@ func TestGangFinishSpeedsUpRemaining(t *testing.T) {
 	}
 }
 
-func TestMemoryAwareScheduling(t *testing.T) {
-	// 4 nodes with 1 GB, 4 with 4 GB. A job needing 2 GB/proc on 4
-	// procs must wait for the big nodes even though small ones are free.
-	mems := []int64{1 << 20, 1 << 20, 1 << 20, 1 << 20, 4 << 20, 4 << 20, 4 << 20, 4 << 20}
-	w := &core.Workload{Name: "mem", MaxNodes: 8, Jobs: []*core.Job{
-		{ID: 1, Submit: 0, Size: 4, Runtime: 100, User: 1, ReqMemPerProc: 2 << 20},
-		{ID: 2, Submit: 0, Size: 4, Runtime: 100, User: 1, ReqMemPerProc: 2 << 20},
-	}}
-	res := mustRun(t, w, sched.NewFirstFit(), Options{NodeMem: mems, MemAware: true})
-	o1, o2 := outcomeByID(res, 1), outcomeByID(res, 2)
-	if o1.Start != 0 {
-		t.Fatalf("job 1 should take the 4 big nodes: %+v", o1)
-	}
-	if o2.Start != 100 {
-		t.Fatalf("job 2 must wait for big nodes: %+v", o2)
+// TestZeroEstimateStartHoldsItsProcessors: a job with neither runtime
+// nor estimate holds its processors for the instant it runs, in the
+// backfillers' profile too, where a fit now stands for the capacity to
+// start. On 8 processors, job 1 runs to t=10 while job 2 (4 procs, 0 s)
+// and job 3 (6 procs, 50 s) queue. At t=10 job 2 starts, and job 3,
+// which fits the profile only if job 2's start is not mirrored into it,
+// waits for job 2's finish at the same instant.
+func TestZeroEstimateStartHoldsItsProcessors(t *testing.T) {
+	w := wl(8, [3]int64{0, 8, 10}, [3]int64{1, 4, 0}, [3]int64{2, 6, 50})
+	for _, spec := range backfillDepthSpecs {
+		res := mustRun(t, w, mustNew(t, spec), Options{})
+		for _, id := range []int64{2, 3} {
+			if o := outcomeByID(res, id); o.Start != 10 {
+				t.Errorf("%s: job %d: %+v, want start 10", spec, id, o)
+			}
+		}
 	}
 }
 

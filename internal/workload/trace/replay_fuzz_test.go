@@ -111,8 +111,10 @@ func TestHugeTimeFieldIsAnError(t *testing.T) {
 // utilization in [0, 1]. The inferred machine may end inside an
 // allocation word or span several. The committed corpus in
 // testdata/fuzz/FuzzSWFReplay, which plain go test runs too, holds the
-// reproducers of TestHugeTimeFieldIsAnError and clean and dirty records
-// of mini.swf.
+// reproducers of TestHugeTimeFieldIsAnError, clean and dirty records of
+// mini.swf, and zero_runtime: three zero-runtime jobs on one node, which
+// conservative backfilling started without capacity when a start with
+// a zero estimate left its profile untouched.
 func FuzzSWFReplay(f *testing.F) {
 	f.Add("; MaxNodes: 32\n1 0 -1 10 32 -1 -1 32 900 -1 1 1 2 27 1 1 -1 -1\n2 5157 -1 52 1 -1 -1 1 900 -1 1 3 4 1 1 1 -1 -1\n")
 	// A job wider than the header widens the machine to 130 nodes: two
