@@ -1,6 +1,8 @@
 // Command schedlint runs the repository's custom static-analysis
-// suite — the determinism contracts every reported result depends on,
-// and the escape ratchet over the compiler's heap diagnostics in the
+// suite — the two determinism contracts every reported result depends
+// on (determinism: no wall clock or global rand in simulated code;
+// maporder: no map order leaking into ordered output), and the escape
+// ratchet over the compiler's heap diagnostics in the
 // //schedlint:hotpath kernels — over the given packages.
 //
 // Usage:

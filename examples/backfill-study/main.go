@@ -32,7 +32,7 @@ func main() {
 		results, err := parsched.Run(parsched.RunSpec{
 			Scheduler: spec,
 			Source:    parsched.ParseWorkloadSource("model:lublin99"),
-			Jobs:      3000, Nodes: 128, Seed: 11, //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+			Jobs:      3000, Nodes: 128, Seed: 11,
 			Loads: loads,
 		})
 		if err != nil {
@@ -61,7 +61,7 @@ func main() {
 	rs := parsched.RunSpec{
 		Scheduler: parsched.SchedulerSpec{Family: "easy"},
 		Source:    parsched.ParseWorkloadSource("model:lublin99"),
-		Jobs:      3000, Nodes: 128, Seed: 11, //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+		Jobs:      3000, Nodes: 128, Seed: 11,
 		Loads: []float64{0.85},
 	}
 	user, err := parsched.Run(rs)

@@ -20,7 +20,7 @@ func main() {
 
 	for _, load := range []float64{0.6, 0.8, 1.0, 1.2, 1.4} {
 		w, err := parsched.Generate("lublin99", parsched.ModelConfig{
-			MaxNodes: 128, Jobs: 3000, Seed: 23, Load: load, EstimateFactor: 2, //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+			MaxNodes: 128, Jobs: 3000, Seed: 23, Load: load, EstimateFactor: 2,
 		})
 		if err != nil {
 			log.Fatal(err)

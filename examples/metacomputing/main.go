@@ -43,7 +43,7 @@ func main() {
 
 	// --- Users (Figure 1, top): a stream of meta jobs handed to the
 	// meta-scheduler.
-	rng := stats.NewRNG(2026) //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+	rng := stats.NewRNG(2026)
 	var jobs []*core.Job
 	t := int64(3600)
 	for i := 0; i < 150; i++ {

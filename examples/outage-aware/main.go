@@ -17,7 +17,7 @@ import (
 
 func main() {
 	w, err := parsched.Generate("lublin99", parsched.ModelConfig{
-		MaxNodes: 128, Jobs: 3000, Seed: 17, Load: 0.7, EstimateFactor: 2, //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+		MaxNodes: 128, Jobs: 3000, Seed: 17, Load: 0.7, EstimateFactor: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +35,7 @@ func main() {
 		MaintenanceEvery:  7 * 86400,
 		MaintenanceLength: 4 * 3600,
 		MaintenanceLead:   86400,
-	}, 99) //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+	}, 99)
 	planned, sudden := 0, 0
 	for _, r := range olog.Records {
 		if r.Kind.Planned() {

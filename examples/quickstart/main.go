@@ -16,7 +16,7 @@ func main() {
 	// 1. Generate a synthetic workload with the model the paper calls
 	//    "relatively representative of multiple workloads".
 	w, err := parsched.Generate("lublin99", parsched.ModelConfig{
-		MaxNodes: 128, Jobs: 2000, Seed: 7, Load: 0.75, EstimateFactor: 2, //schedlint:allow seedflow example: the fixed seed keeps the demo output stable and copy-pastable
+		MaxNodes: 128, Jobs: 2000, Seed: 7, Load: 0.75, EstimateFactor: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

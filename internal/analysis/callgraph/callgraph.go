@@ -1,8 +1,7 @@
 // Package callgraph is the interprocedural layer of the schedlint
 // framework: a whole-program call graph over the loader's from-source
 // type information, plus the hot-path reachability pass the escape
-// analyzer scopes its ratchet by and the dataflow analyzer (seedflow)
-// shares.
+// analyzer scopes its ratchet by.
 //
 // A function is a hot-path root when its declaration's doc comment
 // carries the directive
@@ -157,7 +156,6 @@ func ShortName(fn *types.Func) string {
 // built it (whole-program when obtained through Of with a framework
 // Program, package-local when built with Build).
 type Graph struct {
-	pkg  *types.Package
 	path string
 	info *types.Info
 	// order holds the nodes in declaration order, the iteration order
@@ -165,13 +163,7 @@ type Graph struct {
 	order  []*Node
 	roots  []*Node
 	hasHot bool
-	// owner is the whole-program graph this view belongs to, nil for a
-	// standalone per-package Build.
-	owner *ProgramGraph
-	// nodes and methods are the package-local resolution maps of a
-	// standalone graph; views resolve through their owner instead.
-	nodes   map[*types.Func]*Node
-	methods methodIndex
+	nodes  map[*types.Func]*Node
 }
 
 // methodIndex maps receiver base types to their declared methods, for
@@ -183,11 +175,9 @@ type methodIndex map[*types.TypeName]map[string]*Node
 // program-wide interface dispatch, with hot-path reachability
 // propagated across package edges.
 type ProgramGraph struct {
-	graphs  []*Graph
-	byPkg   map[*types.Package]*Graph
-	nodes   map[*types.Func]*Node
-	methods methodIndex
-	roots   []*Node
+	graphs []*Graph
+	byPkg  map[*types.Package]*Graph
+	roots  []*Node
 }
 
 type cacheKey struct{}
@@ -222,8 +212,7 @@ func OfProgram(prog *framework.Program) *ProgramGraph {
 // BuildProgram is the whole-program constructor.
 func Build(files []*ast.File, pkg *types.Package, info *types.Info) *Graph {
 	g := newGraph(files, pkg, "", info)
-	g.methods = buildMethodIndex([]*Graph{g})
-	addEdges(g, g.methods, func(fn *types.Func) *Node {
+	addEdges(g, buildMethodIndex([]*Graph{g}), func(fn *types.Func) *Node {
 		if fn.Pkg() != pkg {
 			return nil
 		}
@@ -237,25 +226,22 @@ func Build(files []*ast.File, pkg *types.Package, info *types.Info) *Graph {
 // target packages, in the order given (the loader returns them sorted
 // by import path, which makes Via attribution deterministic).
 func BuildProgram(pkgs []*load.Package) *ProgramGraph {
-	pg := &ProgramGraph{
-		byPkg: map[*types.Package]*Graph{},
-		nodes: map[*types.Func]*Node{},
-	}
+	pg := &ProgramGraph{byPkg: map[*types.Package]*Graph{}}
+	nodes := map[*types.Func]*Node{}
 	for _, p := range pkgs {
 		if p.Types == nil || p.Info == nil {
 			continue
 		}
 		g := newGraph(p.Files, p.Types, p.Path, p.Info)
-		g.owner = pg
 		pg.graphs = append(pg.graphs, g)
 		pg.byPkg[p.Types] = g
 		for fn, n := range g.nodes {
-			pg.nodes[fn] = n
+			nodes[fn] = n
 		}
 	}
-	pg.methods = buildMethodIndex(pg.graphs)
+	methods := buildMethodIndex(pg.graphs)
 	for _, g := range pg.graphs {
-		addEdges(g, pg.methods, func(fn *types.Func) *Node { return pg.nodes[fn] })
+		addEdges(g, methods, func(fn *types.Func) *Node { return nodes[fn] })
 	}
 	propagate(pg.graphs, true)
 	for _, g := range pg.graphs {
@@ -270,20 +256,6 @@ func (pg *ProgramGraph) Package(pkg *types.Package) *Graph { return pg.byPkg[pkg
 
 // Graphs returns the per-package views in program order.
 func (pg *ProgramGraph) Graphs() []*Graph { return pg.graphs }
-
-// Roots returns every hotpath-annotated root in program order.
-func (pg *ProgramGraph) Roots() []*Node { return pg.roots }
-
-// Lookup returns the node for fn from any package of the program.
-func (pg *ProgramGraph) Lookup(fn *types.Func) *Node { return pg.nodes[fn] }
-
-// Resolve returns the possible targets of a call to fn: the single
-// declared node for a static call, or every implementing method in the
-// program for an interface method. Nil when the program declares no
-// candidate (stdlib calls, function values).
-func (pg *ProgramGraph) Resolve(fn *types.Func) []*Node {
-	return resolve(fn, pg.methods, func(f *types.Func) *Node { return pg.nodes[f] })
-}
 
 // RedundantRoots returns the annotated roots that are themselves
 // reachable from other roots — annotations cross-package propagation
@@ -328,7 +300,7 @@ func reachableFromOthers(roots []*Node, target *Node) bool {
 
 // newGraph builds the node set for one package (pass 1).
 func newGraph(files []*ast.File, pkg *types.Package, path string, info *types.Info) *Graph {
-	g := &Graph{pkg: pkg, path: path, info: info, nodes: map[*types.Func]*Node{}}
+	g := &Graph{path: path, info: info, nodes: map[*types.Func]*Node{}}
 	if path == "" && pkg != nil {
 		g.path = pkg.Path()
 	}
@@ -508,30 +480,6 @@ func (g *Graph) Path() string { return g.path }
 
 // Nodes returns the package's function nodes in declaration order.
 func (g *Graph) Nodes() []*Node { return g.order }
-
-// Lookup returns the node for fn. A whole-program view resolves
-// program-wide; a standalone graph knows only its own package.
-func (g *Graph) Lookup(fn *types.Func) *Node {
-	if g.owner != nil {
-		return g.owner.nodes[fn]
-	}
-	return g.nodes[fn]
-}
-
-// Resolve returns the possible targets of a call to fn, like
-// ProgramGraph.Resolve but scoped to the package for standalone
-// graphs.
-func (g *Graph) Resolve(fn *types.Func) []*Node {
-	if g.owner != nil {
-		return g.owner.Resolve(fn)
-	}
-	return resolve(fn, g.methods, func(f *types.Func) *Node {
-		if f.Pkg() != g.pkg {
-			return nil
-		}
-		return g.nodes[f]
-	})
-}
 
 // Enclosing returns the function node whose declaration contains pos,
 // or nil when pos sits outside every declaration (package-level

@@ -47,8 +47,7 @@ func TestPackagesLoadsAndChecksFromSource(t *testing.T) {
 	if pkgs[0].Path != "parsched/internal/des" {
 		t.Fatalf("unexpected first package %s", pkgs[0].Path)
 	}
-	// The handle type must be resolvable — the handles analyzer keys
-	// off it.
+	// A declared type must be resolvable from the checked package.
 	if obj := pkgs[0].Types.Scope().Lookup("Handle"); obj == nil {
 		t.Fatal("des.Handle not found in checked package")
 	}

@@ -3,7 +3,10 @@
 //
 // Go randomizes map iteration order on purpose, so a `for range` over
 // a map that appends to a slice, prints, writes, or sends on a channel
-// produces a different sequence on every run. In this repository that
+// produces a different sequence on every run. A float sum is such a
+// sink too: floating-point addition is not associative, so `sum += x`
+// over a map rounds differently from run to run, and the last digits
+// of full-precision output (JSON, CSV) move. In this repository that
 // is not a cosmetic problem: scheduler decision paths and every
 // rendered table feed committed goldens and byte-identity tests. The
 // fix is the sorted-keys idiom — collect the keys, sort them, range
@@ -12,8 +15,8 @@
 // enclosing function later passes the accumulated slice to a
 // sort/slices call.
 //
-// Order-independent uses of map ranges (counting, summing, building
-// another map) are not flagged.
+// Order-independent uses of map ranges (integer counting and summing,
+// building another map) are not flagged.
 package maporder
 
 import (
@@ -28,8 +31,8 @@ import (
 // Analyzer is the map-iteration-order check.
 var Analyzer = &framework.Analyzer{
 	Name: "maporder",
-	Doc: "flag map ranges that feed ordered sinks (appends, writers, channel sends) " +
-		"without the sorted-keys idiom",
+	Doc: "flag map ranges that feed ordered sinks (appends, writers, channel sends, " +
+		"float sums) without the sorted-keys idiom",
 	Run: run,
 }
 
@@ -77,11 +80,29 @@ func checkMapRange(pass *framework.Pass, rng *ast.RangeStmt, encl *ast.BlockStmt
 		switch n := n.(type) {
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "channel send inside map iteration: receive order depends on map order; iterate sorted keys")
+		case *ast.AssignStmt:
+			if isFloatSum(pass, n) {
+				pass.Reportf(n.TokPos, "float %s inside map iteration rounds in nondeterministic order; iterate sorted keys", n.Tok)
+			}
 		case *ast.CallExpr:
 			checkCall(pass, n, rng, encl)
 		}
 		return true
 	})
+}
+
+// isFloatSum reports whether as is a float `+=` or `-=`: its result
+// depends on the order of the terms.
+func isFloatSum(pass *framework.Pass, as *ast.AssignStmt) bool {
+	if as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN {
+		return false
+	}
+	t := pass.TypesInfo.TypeOf(as.Lhs[0])
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 func checkCall(pass *framework.Pass, call *ast.CallExpr, rng *ast.RangeStmt, encl *ast.BlockStmt) {

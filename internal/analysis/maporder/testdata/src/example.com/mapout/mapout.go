@@ -1,6 +1,6 @@
 // Package mapout is a maporder fixture: map ranges feeding ordered
-// sinks are flagged; the sorted-keys idiom, map-to-map accumulation,
-// and order-independent reductions are not.
+// sinks (float sums among them) are flagged; the sorted-keys idiom,
+// map-to-map accumulation, and integer reductions are not.
 package mapout
 
 import (
@@ -56,13 +56,37 @@ func invert(m map[string]int) map[int][]string {
 	return inv
 }
 
-// total is an order-independent reduction: not flagged.
+// total is an order-independent reduction: integer addition is
+// associative, so it is not flagged.
 func total(m map[string]int) int {
 	n := 0
 	for _, v := range m {
 		n += v
 	}
 	return n
+}
+
+// floatTotal rounds differently with the order of its terms.
+func floatTotal(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v // want "float [+]= inside map iteration"
+	}
+	return sum
+}
+
+// floatTotalSorted sums over sorted keys: the order is fixed.
+func floatTotalSorted(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k]
+	}
+	return sum
 }
 
 func printAllowed(m map[string]int) {

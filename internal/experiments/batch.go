@@ -144,7 +144,10 @@ func RunBatch(ctx context.Context, runners []Runner, cfg Config, opt BatchOption
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//schedlint:shared worker pool: results is index-partitioned (one cell per slot), cells and cfg are read-only after launch, and wg.Wait() is the reuse barrier
+		// The workers share state: results is index-partitioned (one
+		// cell per slot), cells and cfg are read-only after launch, and
+		// wg.Wait() is the reuse barrier. OnCell runs on the workers, so
+		// a callback that writes shared state must lock it.
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {

@@ -325,12 +325,15 @@ func E8CoAllocation(cfg Config) ([]Table, error) {
 			}
 		}
 		ds := stats.Summarize(delays)
+		// Recombine the per-site means in site order: a float sum in
+		// map order rounds differently from run to run.
 		var localBSLD float64
 		var localN int
-		for _, outs := range g.LocalOutcomes() {
-			r := cfg.report("", "", outs, cfg.Nodes/2)
+		locals := g.LocalOutcomes()
+		for _, site := range g.Sites {
+			r := cfg.report("", "", locals[site.Name], cfg.Nodes/2)
 			if r.Finished > 0 {
-				localBSLD += r.BSLD.Mean * float64(r.Finished) //schedlint:allow floatsum finished-weighted recombination of per-site collector means; golden-locked arithmetic
+				localBSLD += r.BSLD.Mean * float64(r.Finished)
 				localN += r.Finished
 			}
 		}

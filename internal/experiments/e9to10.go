@@ -161,7 +161,7 @@ func E10Warmstones(cfg Config) ([]Table, error) {
 				if d < 0 {
 					d = -d
 				}
-				relErr += d / scores[i].Makespan //schedlint:allow floatsum mean relative error over a handful of mapper scores; golden-locked arithmetic
+				relErr += d / scores[i].Makespan
 			}
 			for k := i + 1; k < len(scores); k++ {
 				if scores[i].Graph != scores[k].Graph {

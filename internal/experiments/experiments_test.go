@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,9 +46,35 @@ func renderAll(tables []Table) string {
 	return b.String()
 }
 
+// metricsDiff compares the typed metrics of two table lists bit for
+// bit, the values -json and -csv export at full precision, and
+// describes the first difference ("" when there is none). The
+// rendered text rounds, so it cannot see a last-digit change.
+func metricsDiff(a, b []Table) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d tables against %d", len(a), len(b))
+	}
+	for i := range a {
+		ma, mb := a[i].Metrics, b[i].Metrics
+		if len(ma) != len(mb) {
+			return fmt.Sprintf("%s: %d metrics against %d", a[i].ID, len(ma), len(mb))
+		}
+		for j := range ma {
+			x, y := ma[j], mb[j]
+			if x.LabelKey() != y.LabelKey() || x.Name != y.Name ||
+				math.Float64bits(x.Value) != math.Float64bits(y.Value) {
+				return fmt.Sprintf("%s: {%s} %s=%v against {%s} %s=%v",
+					a[i].ID, x.LabelKey(), x.Name, x.Value, y.LabelKey(), y.Name, y.Value)
+			}
+		}
+	}
+	return ""
+}
+
 // TestDeterminismSerialRerun locks in the internal/des reproducibility
-// contract: the same Config must yield byte-identical tables on every
-// run, for every experiment in the battery.
+// contract: the same Config must yield byte-identical tables and
+// bit-identical metrics on every run, for every experiment in the
+// battery.
 func TestDeterminismSerialRerun(t *testing.T) {
 	for _, r := range All() {
 		first, err := r.Run(QuickConfig())
@@ -60,21 +88,25 @@ func TestDeterminismSerialRerun(t *testing.T) {
 		if a, b := renderAll(first), renderAll(second); a != b {
 			t.Errorf("%s: rerun with identical Config produced different tables", r.ID)
 		}
+		if d := metricsDiff(first, second); d != "" {
+			t.Errorf("%s: rerun with identical Config produced different metrics: %s", r.ID, d)
+		}
 	}
 }
 
 // TestDeterminismParallelMatchesSerial: the batch layer sharded over
-// many workers must reproduce the serial path byte for byte — derived
-// seeds and no shared RNG state make worker order irrelevant.
+// many workers must reproduce the serial path byte for byte and its
+// metrics bit for bit — derived seeds and no shared RNG state make
+// worker order irrelevant.
 func TestDeterminismParallelMatchesSerial(t *testing.T) {
 	cfg := QuickConfig()
-	serial := map[string]string{}
+	serial := map[string][]Table{}
 	for _, r := range All() {
 		tables, err := r.Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		serial[r.ID] = renderAll(tables)
+		serial[r.ID] = tables
 	}
 	res := RunBatch(context.Background(), All(), cfg, BatchOptions{Parallel: 8, Reps: 1})
 	if len(res.Cells) != len(All()) {
@@ -84,8 +116,11 @@ func TestDeterminismParallelMatchesSerial(t *testing.T) {
 		if c.Err != "" {
 			t.Fatalf("%s failed in batch: %s", c.ID, c.Err)
 		}
-		if got := renderAll(c.Tables); got != serial[c.ID] {
+		if got := renderAll(c.Tables); got != renderAll(serial[c.ID]) {
 			t.Errorf("%s: parallel tables differ from serial run", c.ID)
+		}
+		if d := metricsDiff(serial[c.ID], c.Tables); d != "" {
+			t.Errorf("%s: parallel metrics differ from serial run: %s", c.ID, d)
 		}
 	}
 }

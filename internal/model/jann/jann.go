@@ -118,12 +118,12 @@ func (s *sampler) sample(rng *stats.RNG, cfg model.Config) (int, int64) {
 	if s.cum == nil {
 		total := 0.0
 		for _, b := range s.p.Buckets {
-			total += b.Weight //schedlint:allow floatsum normalization over a fixed small bucket table, not a job population
+			total += b.Weight
 		}
 		acc := 0.0
 		s.cum = make([]float64, len(s.p.Buckets))
 		for i, b := range s.p.Buckets {
-			acc += b.Weight / total //schedlint:allow floatsum CDF prefix sum; sequential by construction
+			acc += b.Weight / total
 			s.cum[i] = acc
 		}
 	}

@@ -30,9 +30,9 @@ func NewMoldable(inner Scheduler, maxStretch float64) *Moldable {
 }
 
 // NewMoldableEASY returns moldable-adapted EASY backfilling (the
-// legacy "easy+mold" scheduler).
-//
-//schedlint:allow registry moldable is the shared mold decorator, not a family; easy registers the alias that builds this configuration
+// legacy "easy+mold" scheduler). Moldable is the shared mold
+// decorator, not a family: easy registers the alias that builds this
+// configuration.
 func NewMoldableEASY() *Moldable { return NewMoldable(NewEASY(), 0) }
 
 // Name implements Scheduler. The legacy configuration — EASY at the

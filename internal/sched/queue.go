@@ -47,7 +47,7 @@ func init() {
 	for _, qf := range queueFamilies {
 		ctor := qf.make
 		Register(Family{
-			Name: qf.name, //schedlint:allow registry names come from the literal queueFamilies table above; the registry round-trip test builds every listed name
+			Name: qf.name,
 			Doc:  qf.doc,
 			Params: []Param{
 				{Name: "drain", Kind: BoolParam,
